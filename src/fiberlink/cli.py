@@ -37,7 +37,10 @@ def _load_config(path: str | None, seed: int | None) -> LinkConfig:
         text = Path(path).read_text(encoding="utf-8")
     cfg = parse_config(text)
     if seed is not None:
-        cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed))
+        try:
+            cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed))
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     return cfg
 
 

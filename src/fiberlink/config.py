@@ -7,13 +7,12 @@ file yields the full default configuration.
 """
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Callable
 
-from .fiber import AmplifierParams, FiberParams, SsfmOptions
-from .link import SCHEMES, LinkConfig, SimSettings
-from .receiver import RxConfig
+from .link import SCHEMES, LinkConfig
 from .signals import ALLOWED_SAMPLES_PER_BIT
-from .transmitter import PRBS_TAPS, TxConfig
+from .transmitter import PRBS_TAPS
 
 __all__ = ["ConfigError", "parse_config", "parse_config_file", "KNOWN_KEYS"]
 
@@ -62,7 +61,7 @@ def _parse_amp_mode(text: str) -> tuple[str, float | None]:
     raise ValueError(f"expected 'restore' or 'fixed:<dB>', got {text!r}")
 
 
-def _positive(name: str, parse: Callable[[str], Any]) -> Callable[[str], Any]:
+def _positive(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     def check(text: str) -> Any:
         value = parse(text)
         if not value > 0:
@@ -72,7 +71,7 @@ def _positive(name: str, parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return check
 
 
-def _non_negative(name: str, parse: Callable[[str], Any]) -> Callable[[str], Any]:
+def _non_negative(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     def check(text: str) -> Any:
         value = parse(text)
         if value < 0:
@@ -92,51 +91,67 @@ def _in_set(allowed: tuple[int, ...]) -> Callable[[str], int]:
     return check
 
 
-# key -> value parser. Every key here maps one-to-one onto a dataclass field;
-# range checks the dataclasses enforce are repeated here only where the raw
-# value needs them before unit conversion.
-_SCHEMA: dict[str, Callable[[str], Any]] = {
-    "link.scheme": _parse_choice(SCHEMES),
-    "link.n_smf_spans": _positive("link.n_smf_spans", _parse_int),
-    "smf.length_km": _non_negative("smf.length_km", _parse_float),
-    "smf.dispersion_ps_nm_km": _parse_float,
-    "smf.loss_db_km": _non_negative("smf.loss_db_km", _parse_float),
-    "smf.gamma_per_w_km": _non_negative("smf.gamma_per_w_km", _parse_float),
-    "dcf.length_km": _non_negative("dcf.length_km", _parse_float),
-    "dcf.pre_length_km": _non_negative("dcf.pre_length_km", _parse_float),
-    "dcf.post_length_km": _non_negative("dcf.post_length_km", _parse_float),
-    "dcf.dispersion_ps_nm_km": _parse_float,
-    "dcf.loss_db_km": _non_negative("dcf.loss_db_km", _parse_float),
-    "dcf.gamma_per_w_km": _non_negative("dcf.gamma_per_w_km", _parse_float),
-    "tx.bit_rate_gbps": _positive("tx.bit_rate_gbps", _parse_float),
-    "tx.wavelength_nm": _positive("tx.wavelength_nm", _parse_float),
-    "tx.power_dbm": _parse_float,
-    "tx.linewidth_mhz": _non_negative("tx.linewidth_mhz", _parse_float),
-    "tx.prbs_order": _in_set(tuple(sorted(PRBS_TAPS))),
-    "tx.rise_time_ui": _parse_float,
-    "tx.extinction_db": _positive("tx.extinction_db", _parse_float),
-    "rx.responsivity_a_w": _positive("rx.responsivity_a_w", _parse_float),
-    "rx.thermal_psd": _non_negative("rx.thermal_psd", _parse_float),
-    "rx.shot_noise": _parse_bool,
-    "rx.bessel_order": _parse_int,
-    "rx.bessel_bw_ghz": _positive("rx.bessel_bw_ghz", _parse_float),
-    "amp.mode": _parse_amp_mode,
-    "amp.ase": _parse_bool,
-    "amp.noise_figure_db": _parse_float,
-    "sim.n_bits": _positive("sim.n_bits", _parse_int),
-    "sim.samples_per_bit": _in_set(ALLOWED_SAMPLES_PER_BIT),
-    "sim.step_km": _positive("sim.step_km", _parse_float),
-    "sim.max_nl_phase_rad": _positive("sim.max_nl_phase_rad", _parse_float),
-    "sim.seed": _non_negative("sim.seed", _parse_int),
-    "sim.skip_bits": _non_negative("sim.skip_bits", _parse_int),
+# key -> (value parser with its range check, LinkConfig field path, power of
+# ten from the key's unit to the field's SI unit). Defaults live only in the
+# dataclasses. A parser that returns a tuple sets one field per path. Negative
+# powers divide: 1550 / 1e9 is the double nearest 1550e-9, 1550 * 1e-9 is not.
+_SCHEMA: dict[str, tuple[Callable[[str], Any], str | tuple[str, ...], int]] = {
+    "link.scheme": (_parse_choice(SCHEMES), "scheme", 0),
+    "link.n_smf_spans": (_positive(_parse_int), "n_smf_spans", 0),
+    "smf.length_km": (_non_negative(_parse_float), "smf.length_km", 0),
+    "smf.dispersion_ps_nm_km": (_parse_float, "smf.dispersion_ps_nm_km", 0),
+    "smf.loss_db_km": (_non_negative(_parse_float), "smf.loss_db_km", 0),
+    "smf.gamma_per_w_km": (_non_negative(_parse_float), "smf.gamma_per_w_km", 0),
+    "dcf.length_km": (_non_negative(_parse_float), "dcf.length_km", 0),
+    "dcf.pre_length_km": (_non_negative(_parse_float), "pre_length_km", 0),
+    "dcf.post_length_km": (_non_negative(_parse_float), "post_length_km", 0),
+    "dcf.dispersion_ps_nm_km": (_parse_float, "dcf.dispersion_ps_nm_km", 0),
+    "dcf.loss_db_km": (_non_negative(_parse_float), "dcf.loss_db_km", 0),
+    "dcf.gamma_per_w_km": (_non_negative(_parse_float), "dcf.gamma_per_w_km", 0),
+    "tx.bit_rate_gbps": (_positive(_parse_float), "tx.bit_rate", 9),
+    "tx.wavelength_nm": (_positive(_parse_float), "tx.wavelength", -9),
+    "tx.power_dbm": (_parse_float, "tx.launch_power_dbm", 0),
+    "tx.linewidth_mhz": (_non_negative(_parse_float), "tx.linewidth_hz", 6),
+    "tx.prbs_order": (_in_set(tuple(sorted(PRBS_TAPS))), "tx.prbs_order", 0),
+    "tx.rise_time_ui": (_parse_float, "tx.rise_time", 0),
+    "tx.extinction_db": (_positive(_parse_float), "tx.extinction_db", 0),
+    "rx.responsivity_a_w": (_positive(_parse_float), "rx.responsivity", 0),
+    "rx.thermal_psd": (_non_negative(_parse_float), "rx.thermal_noise_psd", 0),
+    "rx.shot_noise": (_parse_bool, "rx.shot_noise", 0),
+    "rx.bessel_order": (_parse_int, "rx.bessel_order", 0),
+    "rx.bessel_bw_ghz": (_positive(_parse_float), "rx.bessel_bandwidth", 9),
+    "amp.mode": (_parse_amp_mode, ("amp.mode", "amp.gain_db"), 0),
+    "amp.ase": (_parse_bool, "amp.ase_enabled", 0),
+    "amp.noise_figure_db": (_parse_float, "amp.noise_figure_db", 0),
+    "sim.n_bits": (_positive(_parse_int), "sim.n_bits", 0),
+    "sim.samples_per_bit": (_in_set(ALLOWED_SAMPLES_PER_BIT), "sim.samples_per_bit", 0),
+    "sim.step_km": (_positive(_parse_float), "sim.ssfm.step_km", 0),
+    "sim.max_nl_phase_rad": (_positive(_parse_float), "sim.ssfm.max_nl_phase_rad", 0),
+    "sim.seed": (_non_negative(_parse_int), "sim.seed", 0),
+    "sim.skip_bits": (_non_negative(_parse_int), "sim.skip_bits", 0),
 }
 
 KNOWN_KEYS = tuple(sorted(_SCHEMA))
 
 
+def _replace(obj: Any, updates: dict[str, Any]) -> Any:
+    """Set dotted field paths, with one ``dataclasses.replace`` per nested dataclass."""
+    fields: dict[str, Any] = {}
+    nested: dict[str, dict[str, Any]] = {}
+    for path, value in updates.items():
+        name, dot, rest = path.partition(".")
+        if dot:
+            nested.setdefault(name, {})[rest] = value
+        else:
+            fields[name] = value
+    for name, sub in nested.items():
+        fields[name] = _replace(getattr(obj, name), sub)
+    return dataclasses.replace(obj, **fields)
+
+
 def parse_config(text: str) -> LinkConfig:
     """Parse config text into a fully defaulted, validated LinkConfig."""
-    values: dict[str, Any] = {}
+    updates: dict[str, Any] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -149,97 +164,44 @@ def parse_config(text: str) -> LinkConfig:
         value_text = value_text.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in lines:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} (first set on line {lines[key]})"
             )
         if not value_text:
             raise ConfigError(f"line {lineno}: key {key!r} has no value")
+        parse, path, power = _SCHEMA[key]
         try:
-            values[key] = _SCHEMA[key](value_text)
+            value = parse(value_text)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from None
+        if isinstance(path, tuple):
+            updates.update(zip(path, value))
+        elif power:
+            updates[path] = value * 10.0**power if power > 0 else value / 10.0**-power
+        else:
+            updates[path] = value
         lines[key] = lineno
 
-    if "sim.step_km" in values and "sim.max_nl_phase_rad" in values:
-        lineno = max(lines["sim.step_km"], lines["sim.max_nl_phase_rad"])
-        raise ConfigError(
-            f"line {lineno}: sim.step_km and sim.max_nl_phase_rad are mutually exclusive"
-        )
+    if "sim.max_nl_phase_rad" in lines:
+        if "sim.step_km" in lines:
+            lineno = max(lines["sim.step_km"], lines["sim.max_nl_phase_rad"])
+            raise ConfigError(
+                f"line {lineno}: sim.step_km and sim.max_nl_phase_rad are mutually exclusive"
+            )
+        updates["sim.ssfm.mode"] = "adaptive"
 
+    # The DCF side a scheme does not use defaults to zero length, the other
+    # to dcf.length_km.
+    base = LinkConfig()
+    scheme = updates.get("scheme", base.scheme)
+    dcf_length = updates.get("dcf.length_km", base.dcf.length_km)
+    updates.setdefault("pre_length_km", dcf_length if scheme in ("pre", "symmetric") else 0.0)
+    updates.setdefault("post_length_km", dcf_length if scheme in ("post", "symmetric") else 0.0)
     try:
-        smf = FiberParams(
-            length_km=values.get("smf.length_km", 120.0),
-            dispersion_ps_nm_km=values.get("smf.dispersion_ps_nm_km", 16.0),
-            loss_db_km=values.get("smf.loss_db_km", 0.2),
-            gamma_per_w_km=values.get("smf.gamma_per_w_km", 1.26677),
-            label="SMF",
-        )
-        dcf_base = values.get("dcf.length_km", 24.0)
-        dcf = FiberParams(
-            length_km=dcf_base,
-            dispersion_ps_nm_km=values.get("dcf.dispersion_ps_nm_km", -80.0),
-            loss_db_km=values.get("dcf.loss_db_km", 0.6),
-            gamma_per_w_km=values.get("dcf.gamma_per_w_km", 1.8),
-            label="DCF",
-        )
-        tx = TxConfig(
-            bit_rate=values.get("tx.bit_rate_gbps", 10.0) * 1e9,
-            wavelength=values.get("tx.wavelength_nm", 1550.0) * 1e-9,
-            launch_power_dbm=values.get("tx.power_dbm", 0.0),
-            linewidth_hz=values.get("tx.linewidth_mhz", 10.0) * 1e6,
-            prbs_order=values.get("tx.prbs_order", 7),
-            rise_time=values.get("tx.rise_time_ui", 0.25),
-            extinction_db=values.get("tx.extinction_db", 30.0),
-        )
-        rx = RxConfig(
-            responsivity=values.get("rx.responsivity_a_w", 1.0),
-            thermal_noise_psd=values.get("rx.thermal_psd", 1e-11),
-            shot_noise=values.get("rx.shot_noise", True),
-            bessel_order=values.get("rx.bessel_order", 4),
-            bessel_bandwidth=values.get("rx.bessel_bw_ghz", 8.0) * 1e9,
-        )
-        amp_mode, amp_gain = values.get("amp.mode", ("restore", None))
-        amp = AmplifierParams(
-            mode=amp_mode,
-            target_dbm=None,
-            gain_db=amp_gain,
-            ase_enabled=values.get("amp.ase", False),
-            noise_figure_db=values.get("amp.noise_figure_db", 5.0),
-        )
-        if "sim.max_nl_phase_rad" in values:
-            ssfm = SsfmOptions(mode="adaptive", max_nl_phase_rad=values["sim.max_nl_phase_rad"])
-        else:
-            ssfm = SsfmOptions(mode="fixed", step_km=values.get("sim.step_km", 0.1))
-        sim = SimSettings(
-            n_bits=values.get("sim.n_bits", 1024),
-            samples_per_bit=values.get("sim.samples_per_bit", 32),
-            seed=values.get("sim.seed", 42),
-            skip_bits=values.get("sim.skip_bits", 8),
-            ssfm=ssfm,
-        )
-        scheme = values.get("link.scheme", "symmetric")
-        # The side a scheme does not use defaults to zero length.
-        pre_default = dcf_base if scheme in ("pre", "symmetric") else 0.0
-        post_default = dcf_base if scheme in ("post", "symmetric") else 0.0
-        config = LinkConfig(
-            scheme=scheme,
-            n_smf_spans=values.get("link.n_smf_spans", 2),
-            smf=smf,
-            dcf=dcf,
-            pre_length_km=values.get("dcf.pre_length_km", pre_default),
-            post_length_km=values.get("dcf.post_length_km", post_default),
-            tx=tx,
-            rx=rx,
-            amp=amp,
-            sim=sim,
-        )
-        config.validate()
-    except ConfigError:
-        raise
+        return _replace(base, updates).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return config
 
 
 def parse_config_file(path: str) -> LinkConfig:

@@ -21,10 +21,10 @@ from .fiber import (
     amplify,
     propagate_fiber,
 )
-from .metrics import QResult, estimate_q, fold_eye, EyeDiagram
+from .metrics import MIN_RAIL_BITS, EyeDiagram, QResult, estimate_q
 from .receiver import RxConfig, receive
-from .signals import ElectricalWaveform, OpticalField, SamplingGrid, make_grid
-from .transmitter import BitSequence, TxConfig, transmit
+from .signals import ElectricalWaveform, SamplingGrid, make_grid
+from .transmitter import DEFAULT_LFSR_SEED, BitSequence, TxConfig, prbs_generate, transmit
 
 __all__ = [
     "SCHEMES",
@@ -174,8 +174,8 @@ class LinkConfig:
     n_smf_spans: int = 2
     smf: FiberParams = DEFAULT_SMF
     dcf: FiberParams = DEFAULT_DCF
-    pre_length_km: float = 24.0
-    post_length_km: float = 24.0
+    pre_length_km: float = DEFAULT_DCF.length_km
+    post_length_km: float = DEFAULT_DCF.length_km
     tx: TxConfig = field(default_factory=TxConfig)
     rx: RxConfig = field(default_factory=RxConfig)
     amp: AmplifierParams = field(default_factory=AmplifierParams)
@@ -188,7 +188,7 @@ class LinkConfig:
             raise ValueError(f"n_smf_spans must be >= 1, got {self.n_smf_spans}")
 
     def validate(self) -> "LinkConfig":
-        """Check cross-module consistency (grid, topology, filter); returns self."""
+        """Check cross-module consistency (grid, filter, eye, topology); returns self."""
         grid = make_grid(
             self.tx.bit_rate, self.sim.n_bits, self.sim.samples_per_bit, self.tx.wavelength
         )
@@ -196,6 +196,14 @@ class LinkConfig:
             raise ValueError(
                 f"rx bessel_bandwidth {self.rx.bessel_bandwidth:.6g} Hz must be below "
                 f"the grid Nyquist frequency {0.5 * grid.sample_rate:.6g} Hz"
+            )
+        pattern = prbs_generate(self.tx.prbs_order, DEFAULT_LFSR_SEED, self.sim.n_bits)
+        n_ones = int(np.count_nonzero(pattern.bits[self.sim.skip_bits :]))
+        n_zeros = self.sim.n_bits - self.sim.skip_bits - n_ones
+        if min(n_ones, n_zeros) < MIN_RAIL_BITS:
+            raise ValueError(
+                f"n_bits = {self.sim.n_bits} with skip_bits = {self.sim.skip_bits} leaves too "
+                f"few bits for estimate_q: {n_ones} ones, {n_zeros} zeros, {MIN_RAIL_BITS} needed"
             )
         self.resolve_topology()
         return self
@@ -257,13 +265,11 @@ def run_link_full(config: LinkConfig) -> LinkRunResult:
             raise PropagationError(f"element {index} ({element.label}): {exc}") from exc
     received = receive(field_, config.rx, np.random.default_rng(rx_ss))
     q = estimate_q(received, bits, grid, config.sim.skip_bits)
-    aligned = ElectricalWaveform(np.roll(received.samples, -q.delay_samples), grid)
-    eye = fold_eye(aligned, grid, config.sim.skip_bits)
     return LinkRunResult(
         q=q,
         bits=bits,
         received=received,
-        eye=eye,
+        eye=q.eye,
         grid=grid,
         topology=topology,
         residual_ps_nm=residual_dispersion(topology),

@@ -7,7 +7,7 @@ to the nearest bit boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erfc
@@ -18,6 +18,7 @@ from .transmitter import BitSequence
 __all__ = [
     "BER_FLOOR",
     "Q_CAP",
+    "MIN_RAIL_BITS",
     "EyeDiagram",
     "RailQ",
     "QResult",
@@ -30,6 +31,7 @@ __all__ = [
 
 BER_FLOOR = 1e-40
 Q_CAP = 1e6
+MIN_RAIL_BITS = 8  # fewest bits of each value estimate_q takes rail statistics over
 
 
 def ber_from_q(q_linear: float) -> float:
@@ -116,6 +118,8 @@ class QResult:
     n_ones: int
     n_zeros: int
     delay_samples: int
+    # The eye folded at the recovered delay; a by-product, not part of the result's value.
+    eye: EyeDiagram | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.q_linear <= Q_CAP):
@@ -215,9 +219,9 @@ def estimate_q(
     mask = kept_bits == 1
     n_ones = int(np.count_nonzero(mask))
     n_zeros = int(mask.size - n_ones)
-    if n_ones < 8 or n_zeros < 8:
+    if n_ones < MIN_RAIL_BITS or n_zeros < MIN_RAIL_BITS:
         raise ValueError(
-            f"need at least 8 bits of each value after warm-up, got {n_ones} ones "
+            f"need at least {MIN_RAIL_BITS} bits of each value after warm-up, got {n_ones} ones "
             f"and {n_zeros} zeros"
         )
     ones = traces[mask]
@@ -255,6 +259,7 @@ def estimate_q(
         n_ones=n_ones,
         n_zeros=n_zeros,
         delay_samples=delay,
+        eye=eye,
     )
 
 

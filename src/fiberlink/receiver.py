@@ -29,7 +29,6 @@ class RxConfig:
     shot_noise: bool = True
     bessel_order: int = 4
     bessel_bandwidth: float = 8e9  # -3 dB electrical bandwidth, Hz
-    rng_seed: int = 42
 
     def __post_init__(self) -> None:
         if not (self.responsivity > 0 and np.isfinite(self.responsivity)):
@@ -40,8 +39,6 @@ class RxConfig:
             raise ValueError(f"bessel_order must be in 1..10, got {self.bessel_order}")
         if not (self.bessel_bandwidth > 0 and np.isfinite(self.bessel_bandwidth)):
             raise ValueError(f"bessel_bandwidth must be positive, got {self.bessel_bandwidth}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def photodetect(
@@ -53,7 +50,7 @@ def photodetect(
 
     Thermal noise is white with one-sided current PSD ``thermal_noise_psd``
     over the simulation bandwidth ``1/dt``; shot noise per sample has variance
-    ``2 q R |E|^2 / dt``.
+    ``2 q R |E|^2 / dt``. ``rng`` is required when either noise term is on.
     """
     grid = field.grid
     p_opt = np.abs(field.samples) ** 2
@@ -62,7 +59,7 @@ def photodetect(
     noisy = config.thermal_noise_psd > 0 or config.shot_noise
     if noisy:
         if rng is None:
-            rng = np.random.default_rng(config.rng_seed)
+            raise ValueError("an rng is required when receiver noise is on")
         if config.thermal_noise_psd > 0:
             current = current + rng.normal(
                 0.0, config.thermal_noise_psd * np.sqrt(b_sim), grid.n_samples

@@ -74,7 +74,6 @@ class TxConfig:
     prbs_order: int = 7
     rise_time: float = 0.25  # 10-90 equivalent edge width, fraction of a UI
     extinction_db: float = 30.0
-    rng_seed: int = 42
 
     def __post_init__(self) -> None:
         if not (self.bit_rate > 0 and np.isfinite(self.bit_rate)):
@@ -93,8 +92,6 @@ class TxConfig:
             raise ValueError(f"rise_time must lie in (0, 0.5), got {self.rise_time}")
         if not (self.extinction_db > 0):
             raise ValueError(f"extinction_db must be positive, got {self.extinction_db}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def prbs_generate(order: int, seed: int, n_bits: int) -> BitSequence:
@@ -226,8 +223,8 @@ def transmit(
     """Run the full transmitter chain; returns the data bits and the field.
 
     The output is scaled so the mean power over the flat centers of the mark
-    bits equals ``launch_power_dbm`` exactly. Pass an ``rng`` to control the
-    laser phase-noise stream; otherwise one is derived from ``rng_seed``.
+    bits equals ``launch_power_dbm`` exactly. ``rng`` drives the laser phase
+    noise and is required when ``linewidth_hz > 0``.
     """
     if grid.bit_rate != config.bit_rate:
         raise ValueError(
@@ -238,8 +235,6 @@ def transmit(
             f"grid wavelength {grid.center_wavelength} does not match "
             f"config wavelength {config.wavelength}"
         )
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
     bits = prbs_generate(config.prbs_order, DEFAULT_LFSR_SEED, grid.n_bits)
     drive = nrz_drive(bits, grid, config.rise_time)
     laser = cw_laser(grid, 1.0, config.linewidth_hz, rng)

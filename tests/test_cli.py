@@ -71,6 +71,19 @@ class TestRun:
         assert row_a[6] == "42" and row_b[6] == "7"
         assert row_a[3] != row_b[3]
 
+    def test_negative_seed_exits_2(self, cfg_file, tmp_path, capsys):
+        rc = main(["run", "--config", cfg_file, "--out", str(tmp_path), "--seed", "-1"])
+        assert rc == 2
+        assert "error: --seed: seed must be non-negative" in capsys.readouterr().err
+
+    def test_config_too_short_for_q_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("sim.n_bits = 16\n", encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "too few bits for estimate_q" in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
         assert rc == 2
@@ -151,6 +164,16 @@ class TestSweep:
         rows = read_rows(out / "sweep.csv")
         assert rows[0][6] != rows[1][6]
 
+    def test_negative_seed_exits_2(self, cfg_file, tmp_path, capsys):
+        rc = main([
+            "sweep", "--config", cfg_file,
+            "--pre", "2.4", "--post", "2.4",
+            "--seed", "-1", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "error: --seed: seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_missing_pre_flag_is_usage_error(self, cfg_file):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--config", cfg_file, "--post", "2.4"])
@@ -190,3 +213,13 @@ class TestEntryPoint:
         assert proc.stdout.startswith("position_km,accumulated_ps_nm")
         lines = proc.stdout.strip().splitlines()
         assert lines[1] == "0.0,0.0"
+
+    def test_package_invocation(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fiberlink", "profile"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("position_km,accumulated_ps_nm\n0.0,0.0\n")

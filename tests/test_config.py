@@ -1,11 +1,26 @@
 from __future__ import annotations
 
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
 import fiberlink as fl
 from fiberlink.config import KNOWN_KEYS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_rows() -> list[tuple[list[str], str | None]]:
+    """(keys, literal default or None) for each row of README's configuration table."""
+    rows = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and re.fullmatch(r"(`[a-z_]+\.[a-z_]+`( / )?)+", cells[0]):
+            default = re.fullmatch(r"`([^`]+)`", cells[1])
+            rows.append((re.findall(r"`([^`]+)`", cells[0]), default and default.group(1)))
+    return rows
 
 
 class TestDefaults:
@@ -209,6 +224,11 @@ class TestValidationErrors:
         with pytest.raises(fl.ConfigError, match="[Nn]yquist"):
             fl.parse_config(text)
 
+    def test_too_few_bits_for_q_rejected(self):
+        # 16 bits minus the 8 warm-up bits cannot hold 8 ones and 8 zeros
+        with pytest.raises(fl.ConfigError, match="too few bits for estimate_q"):
+            fl.parse_config("sim.n_bits = 16")
+
     def test_skip_bits_must_leave_room(self):
         with pytest.raises(fl.ConfigError, match="skip_bits"):
             fl.parse_config("sim.n_bits = 16\nsim.skip_bits = 16")
@@ -224,3 +244,19 @@ class TestValidationErrors:
         assert len(KNOWN_KEYS) == 33
         assert "link.scheme" in KNOWN_KEYS
         assert all("." in key for key in KNOWN_KEYS)
+
+
+class TestReadmeTable:
+    def test_keys_are_the_schema(self):
+        keys = [key for row_keys, _ in readme_config_rows() for key in row_keys]
+        assert sorted(keys) == sorted(KNOWN_KEYS)
+
+    @pytest.mark.parametrize(
+        "key,default",
+        [(key, default) for keys, default in readme_config_rows() if default for key in keys],
+    )
+    def test_documented_default_is_the_dataclass_default(self, key, default):
+        assert fl.parse_config(f"{key} = {default}") == fl.LinkConfig()
+
+    def test_empty_config_is_the_dataclass_default(self):
+        assert fl.parse_config("") == fl.LinkConfig()

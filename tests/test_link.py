@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
+from fiberlink import link, metrics
 from fiberlink.fiber import AmplifierParams, FiberParams
 
 from conftest import small_link_config
@@ -175,6 +176,26 @@ class TestRunLink:
         assert result.grid.n_bits == 64
         assert result.eye.traces.shape == (56, 16)
         assert result.q.ber <= 0.5
+
+    def test_eye_folded_once_per_run(self, monkeypatch):
+        fold = metrics.fold_eye
+        calls = []
+
+        def counting_fold(*args, **kwargs):
+            calls.append(args)
+            return fold(*args, **kwargs)
+
+        # count calls made through either module's name for fold_eye
+        monkeypatch.setattr(metrics, "fold_eye", counting_fold)
+        monkeypatch.setattr(link, "fold_eye", counting_fold, raising=False)
+        result = fl.run_link_full(small_link_config())
+        assert len(calls) == 1
+        aligned = fl.ElectricalWaveform(
+            np.roll(result.received.samples, -result.q.delay_samples), result.grid
+        )
+        expected = fold(aligned, result.grid, 8)
+        np.testing.assert_array_equal(result.eye.traces, expected.traces)
+        np.testing.assert_array_equal(result.eye.crossing_times, expected.crossing_times)
 
     def test_compensated_beats_uncompensated(self):
         base = small_link_config()

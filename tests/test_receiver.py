@@ -55,12 +55,9 @@ class TestPhotodetect:
         b = fl.photodetect(field, cfg, np.random.default_rng(3))
         np.testing.assert_array_equal(a.samples, b.samples)
 
-    def test_default_rng_from_config_seed(self):
-        field = constant_field(1e-3)
-        cfg = fl.RxConfig(rng_seed=123)
-        a = fl.photodetect(field, cfg)
-        b = fl.photodetect(field, cfg)
-        np.testing.assert_array_equal(a.samples, b.samples)
+    def test_noise_requires_rng(self):
+        with pytest.raises(ValueError, match="rng"):
+            fl.photodetect(constant_field(1e-3), fl.RxConfig())
 
 
 class TestBesselLowpass:
@@ -134,7 +131,7 @@ class TestBesselLowpass:
 
 class TestReceive:
     def test_composition_matches_stages(self):
-        _, field = fl.transmit(fl.TxConfig(), GRID)
+        _, field = fl.transmit(fl.TxConfig(), GRID, np.random.default_rng(0))
         cfg = fl.RxConfig()
         direct = fl.receive(field, cfg, np.random.default_rng(77))
         staged = fl.bessel_lowpass(
