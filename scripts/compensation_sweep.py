@@ -34,7 +34,7 @@ def main() -> int:
     sim = dataclasses.replace(config.sim, seed=args.seed)
     if args.quick:
         sim = dataclasses.replace(
-            sim, n_bits=256, ssfm=fl.SsfmOptions(mode="fixed", step_km=0.5)
+            sim, n_bits=256, ssfm=fl.SsfmOptions(step_km=0.5)
         )
     config = dataclasses.replace(config, sim=sim)
 

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, read_config_text
 from .link import LinkConfig, SweepSpec, dispersion_profile, run_link_full, sweep
 from .metrics import format_eye
 
@@ -31,11 +32,7 @@ def _row_csv(pre: float, post: float, residual: float | None, q_db: float | None
 
 
 def _load_config(path: str | None, seed: int | None) -> LinkConfig:
-    if path is None:
-        text = ""
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    cfg = parse_config(text)
+    cfg = parse_config("" if path is None else read_config_text(path))
     if seed is not None:
         try:
             cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed))
@@ -51,6 +48,8 @@ def _parse_lengths(text: str, flag: str) -> tuple[float, ...]:
         raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} expects at least one length, got {text!r}")
+    if not all(0.0 <= value < math.inf for value in values):
+        raise ConfigError(f"{flag} lengths must be finite and >= 0 km, got {text!r}")
     return values
 
 

@@ -14,7 +14,7 @@ from .link import SCHEMES, LinkConfig
 from .signals import ALLOWED_SAMPLES_PER_BIT
 from .transmitter import PRBS_TAPS
 
-__all__ = ["ConfigError", "parse_config", "parse_config_file", "KNOWN_KEYS"]
+__all__ = ["ConfigError", "parse_config", "parse_config_file", "read_config_text", "KNOWN_KEYS"]
 
 
 class ConfigError(ValueError):
@@ -183,13 +183,11 @@ def parse_config(text: str) -> LinkConfig:
             updates[path] = value
         lines[key] = lineno
 
-    if "sim.max_nl_phase_rad" in lines:
-        if "sim.step_km" in lines:
-            lineno = max(lines["sim.step_km"], lines["sim.max_nl_phase_rad"])
-            raise ConfigError(
-                f"line {lineno}: sim.step_km and sim.max_nl_phase_rad are mutually exclusive"
-            )
-        updates["sim.ssfm.mode"] = "adaptive"
+    if "sim.max_nl_phase_rad" in lines and "sim.step_km" in lines:
+        lineno = max(lines["sim.step_km"], lines["sim.max_nl_phase_rad"])
+        raise ConfigError(
+            f"line {lineno}: sim.step_km and sim.max_nl_phase_rad are mutually exclusive"
+        )
 
     # The DCF side a scheme does not use defaults to zero length, the other
     # to dcf.length_km.
@@ -204,7 +202,15 @@ def parse_config(text: str) -> LinkConfig:
         raise ConfigError(str(exc)) from None
 
 
+def read_config_text(path: str) -> str:
+    """Read a config file, which must be UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from None
+
+
 def parse_config_file(path: str) -> LinkConfig:
     """Read and parse a config file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_config_text(path))

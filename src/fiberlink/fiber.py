@@ -71,7 +71,7 @@ class FiberParams:
     def __post_init__(self) -> None:
         if self.length_km < 0 or not np.isfinite(self.length_km):
             raise ValueError(f"length_km must be >= 0, got {self.length_km}")
-        if abs(self.dispersion_ps_nm_km) > 200.0:
+        if not abs(self.dispersion_ps_nm_km) <= 200.0:
             raise ValueError(
                 f"|dispersion| must be <= 200 ps/nm/km, got {self.dispersion_ps_nm_km}"
             )
@@ -110,6 +110,8 @@ class AmplifierParams:
                 raise ValueError(f"gain_db must be >= 0, got {self.gain_db}")
         if self.target_dbm is not None and not np.isfinite(self.target_dbm):
             raise ValueError(f"target_dbm must be finite, got {self.target_dbm}")
+        if not np.isfinite(self.noise_figure_db):
+            raise ValueError(f"noise_figure_db must be finite, got {self.noise_figure_db}")
         if self.ase_enabled and self.noise_figure_db < 3.0:
             raise ValueError(
                 f"noise_figure_db must be >= 3 dB when ASE is on, got {self.noise_figure_db}"
@@ -118,24 +120,27 @@ class AmplifierParams:
 
 @dataclass(frozen=True, slots=True)
 class SsfmOptions:
-    """Step-size control for the split-step integrator.
+    """Step-size policy for the split-step integrator.
 
-    ``fixed`` divides the span into uniform steps no longer than ``step_km``;
-    ``adaptive`` bounds the per-step nonlinear phase at the current peak power
-    by ``max_nl_phase_rad``.
+    ``max_nl_phase_rad = None`` (fixed mode) cuts the span into equal steps no
+    longer than ``step_km``. Otherwise (adaptive mode; ``step_km`` is unused)
+    each step keeps ``gamma * P_peak * dz <= max_nl_phase_rad``, where
+    ``P_peak`` is the peak power of the previous Kerr step (first: the input's).
     """
 
-    mode: str = "fixed"
     step_km: float = 0.1
-    max_nl_phase_rad: float = 0.05
+    max_nl_phase_rad: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "adaptive"):
-            raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
         if not (self.step_km > 0 and np.isfinite(self.step_km)):
             raise ValueError(f"step_km must be positive, got {self.step_km}")
-        if not (self.max_nl_phase_rad > 0 and np.isfinite(self.max_nl_phase_rad)):
+        if not (self.max_nl_phase_rad is None or 0 < self.max_nl_phase_rad < np.inf):
             raise ValueError(f"max_nl_phase_rad must be positive, got {self.max_nl_phase_rad}")
+
+    @property
+    def mode(self) -> str:
+        """``"fixed"`` or ``"adaptive"``, as set by ``max_nl_phase_rad``."""
+        return "fixed" if self.max_nl_phase_rad is None else "adaptive"
 
 
 def _check_finite(e: np.ndarray, z_m: float, fiber: FiberParams) -> None:
@@ -155,8 +160,9 @@ def propagate_fiber(
 
     Each step applies a half linear step (dispersion + loss, in the frequency
     domain), a full Kerr phase rotation, and another half linear step; the
-    trailing and leading half steps of consecutive steps are merged. The total
-    distance integrated is exactly ``fiber.length_km``.
+    trailing and leading half steps of consecutive steps are merged into one
+    operator, rebuilt only when the step size (see :class:`SsfmOptions`)
+    changes. The total distance integrated is ``fiber.length_km``.
     """
     if options is None:
         options = SsfmOptions()
@@ -171,38 +177,34 @@ def propagate_fiber(
     omega = grid.omega()
     # Per-meter exponent of the linear (frequency-domain) operator.
     lin_rate = 0.5j * beta2_si * omega**2 - 0.5 * alpha_si
+    fixed_dz = length_m / max(1, int(np.ceil(fiber.length_km / options.step_km - 1e-12)))
+    max_phase = options.max_nl_phase_rad
 
     e = field.samples.copy()
-
-    if options.mode == "fixed":
-        n_steps = max(1, int(np.ceil(fiber.length_km / options.step_km - 1e-12)))
-        dz = length_m / n_steps
-        half = np.exp(lin_rate * (dz / 2.0))
-        full = half * half
-        e = np.fft.ifft(np.fft.fft(e) * half)
-        for k in range(n_steps):
-            e *= np.exp(1j * gamma_si * dz * np.abs(e) ** 2)
-            _check_finite(e, (k + 0.5) * dz, fiber)
-            if k < n_steps - 1:
-                e = np.fft.ifft(np.fft.fft(e) * full)
-        e = np.fft.ifft(np.fft.fft(e) * half)
-        _check_finite(e, length_m, fiber)
-    else:
-        z = 0.0
-        max_phase = options.max_nl_phase_rad
-        while z < length_m:
-            p_peak = float(np.max(np.abs(e) ** 2))
-            if gamma_si > 0.0 and p_peak > 0.0:
-                dz = min(length_m - z, max_phase / (gamma_si * p_peak))
-            else:
-                dz = length_m - z
-            half = np.exp(lin_rate * (dz / 2.0))
-            e = np.fft.ifft(np.fft.fft(e) * half)
-            e *= np.exp(1j * gamma_si * dz * np.abs(e) ** 2)
-            e = np.fft.ifft(np.fft.fft(e) * half)
-            z += dz
-            _check_finite(e, z, fiber)
-
+    power = np.abs(e) ** 2
+    remaining, dz, half, full = length_m, 0.0, None, None
+    while True:
+        if max_phase is None:
+            next_dz = fixed_dz
+        else:
+            kerr_rate = gamma_si * float(np.max(power))
+            next_dz = min(remaining, max_phase / kerr_rate) if kerr_rate else remaining
+        # Fixed mode stops after n steps despite rounding; adaptive at 0 left.
+        if remaining <= next_dz / 2.0:
+            break
+        if next_dz != dz:
+            next_half = np.exp(lin_rate * (next_dz / 2.0))
+            op, full = next_half if half is None else half * next_half, None
+            dz, half = next_dz, next_half
+        elif full is None:
+            op = full = half * half
+        e = np.fft.ifft(np.fft.fft(e) * op)
+        power = np.abs(e) ** 2
+        e *= np.exp(1j * gamma_si * dz * power)
+        remaining -= dz
+        _check_finite(e, length_m - remaining, fiber)
+    e = np.fft.ifft(np.fft.fft(e) * half)
+    _check_finite(e, length_m, fiber)
     return OpticalField(e, grid)
 
 

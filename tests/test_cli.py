@@ -89,6 +89,29 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# 1550 nm \u00b1 1 nm\nsim.seed = 1\n".encode("latin-1"))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("text", "key"),
+        [
+            ("smf.dispersion_ps_nm_km = nan", "dispersion"),
+            ("amp.ase = true\namp.noise_figure_db = nan", "noise_figure_db"),
+        ],
+        ids=["dispersion", "noise_figure"],
+    )
+    def test_non_finite_fiber_or_amp_value_exits_2(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(text + "\n", encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
+
 
 class TestSweep:
     def test_zip_sweep_csv(self, cfg_file, tmp_path, capsys):
@@ -134,22 +157,36 @@ class TestSweep:
         assert rc == 1
         assert "zip pairing requires equally long lists" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("flag", "lengths"), [("--pre", "2.4,-1"), ("--post", "nan"), ("--pre", "inf")]
+    )
+    def test_bad_length_exits_2(self, cfg_file, tmp_path, capsys, flag, lengths):
+        args = {"--pre": "2.4", "--post": "2.4", flag: lengths}
+        rc = main([
+            "sweep", "--config", cfg_file,
+            "--pre", args["--pre"], "--post", args["--post"],
+            "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert f"{flag} lengths must be finite and >= 0 km" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_failed_row_reported_and_marked(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main([
             "sweep", "--config", cfg_file,
-            "--pre=-5,2.4", "--post", "2.4,2.4",
+            "--pre", "0,2.4", "--post", "2.4,2.4",
             "--out", str(out),
         ])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "row (pre=-5.0, post=2.4) failed:" in captured.err
+        assert "row (pre=0.0, post=2.4) failed:" in captured.err
         assert "(1/2 rows ok)" in captured.out
 
         rows = read_rows(out / "sweep.csv")
         assert len(rows) == 2
         bad, good = rows
-        assert bad[0] == "-5.0"
+        assert bad[0] == "0.0"
         assert bad[2] == bad[3] == bad[4] == bad[5] == ""
         assert good[3] != ""
 

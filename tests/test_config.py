@@ -152,6 +152,11 @@ class TestAmpMode:
         with pytest.raises(fl.ConfigError, match="noise_figure_db"):
             fl.parse_config("amp.ase = true\namp.noise_figure_db = 1.0")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_figure_rejected(self, value):
+        with pytest.raises(fl.ConfigError, match="noise_figure_db"):
+            fl.parse_config(f"amp.ase = true\namp.noise_figure_db = {value}")
+
 
 class TestParseErrors:
     def test_unknown_key_with_line_number(self):
@@ -236,6 +241,10 @@ class TestValidationErrors:
     def test_dispersion_magnitude_cap(self):
         with pytest.raises(fl.ConfigError, match="dispersion"):
             fl.parse_config("dcf.dispersion_ps_nm_km = -500")
+
+    def test_non_finite_dispersion_rejected(self):
+        with pytest.raises(fl.ConfigError, match="dispersion"):
+            fl.parse_config("smf.dispersion_ps_nm_km = nan")
 
     def test_config_error_is_value_error(self):
         assert issubclass(fl.ConfigError, ValueError)

@@ -81,11 +81,17 @@ class TestParamValidation:
 
     def test_ssfm_options(self):
         with pytest.raises(ValueError):
-            fl.SsfmOptions(mode="rk4")
-        with pytest.raises(ValueError):
             fl.SsfmOptions(step_km=0.0)
         with pytest.raises(ValueError):
             fl.SsfmOptions(max_nl_phase_rad=-0.1)
+        with pytest.raises(ValueError):
+            fl.SsfmOptions(max_nl_phase_rad=float("nan"))
+
+    def test_ssfm_mode_is_derived(self):
+        assert fl.SsfmOptions().mode == "fixed"
+        assert fl.SsfmOptions(max_nl_phase_rad=0.05).mode == "adaptive"
+        with pytest.raises(TypeError):
+            fl.SsfmOptions(mode="adaptive")
 
 
 class TestLinearPropagation:
@@ -140,7 +146,7 @@ class TestLinearPropagation:
         # which must match the closed-form frequency-domain operator
         pulse = gaussian(GRID64)
         fiber = fl.FiberParams(80.0, 16.0, 0.25, 0.0)
-        out = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(mode="adaptive"))
+        out = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(max_nl_phase_rad=0.05))
         omega = GRID64.omega()
         beta2 = fl.d_to_beta2(16.0, 1550e-9) * 1e-27
         alpha = fl.loss_db_to_alpha(0.25) * 1e-3
@@ -161,12 +167,12 @@ class TestNonlinearPropagation:
         out = fl.propagate_fiber(field, fiber, fl.SsfmOptions(step_km=1.0))
         assert fl.energy(out) == pytest.approx(fl.energy(field), rel=1e-6)
 
-    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
-    def test_spm_only_pure_phase(self, mode):
+    @pytest.mark.parametrize("max_phase", [None, 0.05], ids=["fixed", "adaptive"])
+    def test_spm_only_pure_phase(self, max_phase):
         p0 = 0.05
         field = fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(p0), dtype=complex), GRID64)
         fiber = fl.FiberParams(10.0, 0.0, 0.0, 2.0)
-        out = fl.propagate_fiber(field, fiber, fl.SsfmOptions(mode=mode))
+        out = fl.propagate_fiber(field, fiber, fl.SsfmOptions(max_nl_phase_rad=max_phase))
         expected_phase = 2.0e-3 * p0 * 10e3  # gamma[1/(W m)] * P * L[m]
         phases = np.angle(out.samples * np.conj(field.samples))
         np.testing.assert_allclose(phases, expected_phase, atol=1e-4)
@@ -213,10 +219,44 @@ class TestNonlinearPropagation:
         fiber = fl.FiberParams(30.0, 16.0, 0.0, gamma)
         fine = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(step_km=1.0 / 64.0))
         adaptive = fl.propagate_fiber(
-            pulse, fiber, fl.SsfmOptions(mode="adaptive", max_nl_phase_rad=0.005)
+            pulse, fiber, fl.SsfmOptions(max_nl_phase_rad=0.005)
         )
         err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
         assert err < 0.02
+
+    def test_adaptive_tracks_fixed_on_lossy_span(self):
+        # loss shrinks the peak power, so every adaptive step differs in size
+        # and the merged half-step operators change from step to step
+        pulse = gaussian(GRID64, peak_w=0.01)
+        fiber = fl.FiberParams(80.0, 16.0, 0.2, 1.3)
+        fine = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(step_km=1.0 / 64.0))
+        adaptive = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(max_nl_phase_rad=0.005))
+        err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
+        assert err < 5e-4
+
+    @pytest.mark.parametrize(
+        ("options", "n_steps"),
+        [
+            (fl.SsfmOptions(step_km=0.3), 34),  # ceil(10 / 0.3)
+            (fl.SsfmOptions(max_nl_phase_rad=0.03), 34),  # ceil(gamma P L / phi) = ceil(1 / 0.03)
+        ],
+        ids=["fixed", "adaptive"],
+    )
+    def test_one_fft_pair_per_step(self, monkeypatch, options, n_steps):
+        # CW on a lossless, dispersionless span keeps the peak power constant
+        p0 = 0.05
+        field = fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(p0), dtype=complex), GRID64)
+        fiber = fl.FiberParams(10.0, 0.0, 0.0, 2.0)
+        calls = []
+        fft = np.fft.fft
+
+        def counting_fft(*args, **kwargs):
+            calls.append(1)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        fl.propagate_fiber(field, fiber, options)
+        assert len(calls) == n_steps + 1
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
