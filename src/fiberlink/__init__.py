@@ -6,90 +6,25 @@ metrics. See the README for the CLI and the sweep workflow.
 """
 from __future__ import annotations
 
-from .config import ConfigError, parse_config, parse_config_file
-from .fiber import (
-    AmplifierParams,
-    FiberParams,
-    PropagationError,
-    SsfmOptions,
-    amplify,
-    d_to_beta2,
-    loss_db_to_alpha,
-    propagate_fiber,
-)
-from .link import (
-    LinkConfig,
-    LinkRunResult,
-    LinkTopology,
-    SimSettings,
-    SweepRow,
-    SweepSpec,
-    build_link,
-    dispersion_profile,
-    residual_dispersion,
-    run_link,
-    run_link_full,
-    sweep,
-)
-from .metrics import (
-    BER_FLOOR,
-    Q_CAP,
-    EyeDiagram,
-    QResult,
-    RailQ,
-    ber_from_q,
-    estimate_q,
-    fold_eye,
-    format_eye,
-    q_from_rails,
-)
-from .receiver import RxConfig, bessel_lowpass, photodetect, receive
-from .signals import (
-    ElectricalWaveform,
-    OpticalField,
-    SamplingGrid,
-    dbm_to_watts,
-    energy,
-    inverse_spectrum,
-    make_grid,
-    mean_power,
-    peak_power,
-    spectrum,
-    watts_to_dbm,
-)
-from .transmitter import (
-    BitSequence,
-    TxConfig,
-    cw_laser,
-    mz_modulate,
-    nrz_drive,
-    prbs_generate,
-    transmit,
-)
+from . import config, fiber, link, metrics, receiver, signals, transmitter
+from .config import *  # noqa: F403
+from .fiber import *  # noqa: F403
+from .link import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .receiver import *  # noqa: F403
+from .signals import *  # noqa: F403
+from .transmitter import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
     "__version__",
-    # signals
-    "SamplingGrid", "OpticalField", "ElectricalWaveform", "make_grid",
-    "mean_power", "peak_power", "energy", "spectrum", "inverse_spectrum",
-    "dbm_to_watts", "watts_to_dbm",
-    # transmitter
-    "BitSequence", "TxConfig", "prbs_generate", "nrz_drive", "cw_laser",
-    "mz_modulate", "transmit",
-    # fiber
-    "FiberParams", "AmplifierParams", "SsfmOptions", "PropagationError",
-    "d_to_beta2", "loss_db_to_alpha", "propagate_fiber", "amplify",
-    # receiver
-    "RxConfig", "photodetect", "bessel_lowpass", "receive",
-    # metrics
-    "BER_FLOOR", "Q_CAP", "EyeDiagram", "RailQ", "QResult", "ber_from_q",
-    "q_from_rails", "fold_eye", "estimate_q", "format_eye",
-    # link
-    "LinkTopology", "SimSettings", "LinkConfig", "LinkRunResult", "SweepSpec",
-    "SweepRow", "build_link", "residual_dispersion", "dispersion_profile",
-    "run_link", "run_link_full", "sweep",
-    # config
-    "ConfigError", "parse_config", "parse_config_file",
+    *signals.__all__,
+    *transmitter.__all__,
+    *fiber.__all__,
+    *receiver.__all__,
+    *metrics.__all__,
+    *link.__all__,
+    *config.__all__,
 ]

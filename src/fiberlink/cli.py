@@ -69,7 +69,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         result.seed,
     )
     (out_dir / "result.csv").write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
-    (out_dir / "eye.txt").write_text(format_eye(result.eye), encoding="utf-8")
+    (out_dir / "eye.txt").write_text(format_eye(result.q.eye), encoding="utf-8")
     print(f"q_db = {_fmt(q.q_db)}")
     print(f"ber = {_fmt(q.ber)}")
     print(f"jitter_ns = {_fmt(q.jitter_ns)}")
@@ -81,13 +81,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed)
     pre = _parse_lengths(args.pre, "--pre")
     post = _parse_lengths(args.post, "--post")
-    spec = SweepSpec(
-        pre_lengths_km=pre,
-        post_lengths_km=post,
-        config=config,
-        pairing=args.pairing,
-        per_row_seeds=args.per_row_seeds,
-    )
+    try:
+        spec = SweepSpec(
+            pre_lengths_km=pre,
+            post_lengths_km=post,
+            config=config,
+            pairing=args.pairing,
+            per_row_seeds=args.per_row_seeds,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rows = sweep(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

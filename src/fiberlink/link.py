@@ -21,7 +21,7 @@ from .fiber import (
     amplify,
     propagate_fiber,
 )
-from .metrics import MIN_RAIL_BITS, EyeDiagram, QResult, estimate_q
+from .metrics import MIN_RAIL_BITS, QResult, estimate_q
 from .receiver import RxConfig, receive
 from .signals import ElectricalWaveform, SamplingGrid, make_grid
 from .transmitter import DEFAULT_LFSR_SEED, BitSequence, TxConfig, prbs_generate, transmit
@@ -37,7 +37,6 @@ __all__ = [
     "build_link",
     "residual_dispersion",
     "dispersion_profile",
-    "run_link",
     "run_link_full",
     "sweep",
 ]
@@ -125,10 +124,8 @@ def build_link(
 
 
 def residual_dispersion(topology: LinkTopology) -> float:
-    """Net accumulated dispersion of the link, ps/nm: sum of D * L."""
-    return float(
-        sum(f.dispersion_ps_nm_km * f.length_km for f in topology.fibers())
-    )
+    """Net accumulated dispersion of the link, ps/nm: the end of its dispersion profile."""
+    return dispersion_profile(topology)[-1][1]
 
 
 def dispersion_profile(topology: LinkTopology) -> list[tuple[float, float]]:
@@ -233,7 +230,6 @@ class LinkRunResult:
     q: QResult
     bits: BitSequence
     received: ElectricalWaveform
-    eye: EyeDiagram
     grid: SamplingGrid
     topology: LinkTopology
     residual_ps_nm: float
@@ -269,17 +265,11 @@ def run_link_full(config: LinkConfig) -> LinkRunResult:
         q=q,
         bits=bits,
         received=received,
-        eye=q.eye,
         grid=grid,
         topology=topology,
         residual_ps_nm=residual_dispersion(topology),
         seed=config.sim.seed,
     )
-
-
-def run_link(config: LinkConfig) -> QResult:
-    """Convenience wrapper over :func:`run_link_full` returning just the QResult."""
-    return run_link_full(config).q
 
 
 @dataclass(frozen=True, slots=True)

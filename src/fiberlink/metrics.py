@@ -60,24 +60,26 @@ class RailQ:
     sigma0: float
 
 
-def q_from_rails(one_samples: np.ndarray, zero_samples: np.ndarray) -> RailQ:
-    """Estimate Q from raw decision samples of the two rails.
+def _rail_stats(ones: np.ndarray, zeros: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rail means, sigmas and q, reduced along the last axis.
 
     A vanishing sigma sum with separated means caps q at ``Q_CAP``; an
     inverted or closed eye clamps q at zero (BER 0.5).
     """
-    ones = np.asarray(one_samples, dtype=np.float64)
-    zeros = np.asarray(zero_samples, dtype=np.float64)
+    mu1, s1 = ones.mean(axis=-1), ones.std(axis=-1)
+    mu0, s0 = zeros.mean(axis=-1), zeros.std(axis=-1)
+    denom = s1 + s0
+    q = np.divide(mu1 - mu0, denom, out=np.where(mu1 > mu0, Q_CAP, 0.0), where=denom != 0.0)
+    return mu1, s1, mu0, s0, np.clip(q, 0.0, Q_CAP)
+
+
+def q_from_rails(one_samples: np.ndarray, zero_samples: np.ndarray) -> RailQ:
+    """Estimate Q from raw decision samples of the two rails (see ``_rail_stats``)."""
+    ones = np.asarray(one_samples, dtype=np.float64).ravel()
+    zeros = np.asarray(zero_samples, dtype=np.float64).ravel()
     if ones.size == 0 or zeros.size == 0:
         raise ValueError("both rails must contain at least one sample")
-    mu1, s1 = float(np.mean(ones)), float(np.std(ones))
-    mu0, s0 = float(np.mean(zeros)), float(np.std(zeros))
-    denom = s1 + s0
-    if denom == 0.0:
-        q = Q_CAP if mu1 > mu0 else 0.0
-    else:
-        q = (mu1 - mu0) / denom
-    q = float(np.clip(q, 0.0, Q_CAP))
+    mu1, s1, mu0, s0, q = map(float, _rail_stats(ones, zeros))
     return RailQ(
         q_linear=q, q_db=_q_db(q), ber=ber_from_q(q), mu1=mu1, sigma1=s1, mu0=mu0, sigma0=s0
     )
@@ -208,15 +210,10 @@ def estimate_q(
         raise ValueError(f"got {b.size} bits for a grid of {grid.n_bits} bit slots")
     if wave.grid != grid:
         raise ValueError("waveform grid does not match the supplied grid")
-    if not (0 <= skip_bits < grid.n_bits):
-        raise ValueError(f"skip_bits must lie in [0, {grid.n_bits}), got {skip_bits}")
-    spb = grid.samples_per_bit
 
-    delay = _recover_delay(wave.samples, b, spb)
-    aligned = np.roll(wave.samples, -delay)
-    kept_bits = b[skip_bits:]
-    traces = aligned[skip_bits * spb :].reshape(kept_bits.size, spb)
-    mask = kept_bits == 1
+    delay = _recover_delay(wave.samples, b, grid.samples_per_bit)
+    eye = fold_eye(ElectricalWaveform(np.roll(wave.samples, -delay), grid), grid, skip_bits)
+    mask = b[skip_bits:] == 1
     n_ones = int(np.count_nonzero(mask))
     n_zeros = int(mask.size - n_ones)
     if n_ones < MIN_RAIL_BITS or n_zeros < MIN_RAIL_BITS:
@@ -224,21 +221,12 @@ def estimate_q(
             f"need at least {MIN_RAIL_BITS} bits of each value after warm-up, got {n_ones} ones "
             f"and {n_zeros} zeros"
         )
-    ones = traces[mask]
-    zeros = traces[~mask]
-    mu1 = ones.mean(axis=0)
-    s1 = ones.std(axis=0)
-    mu0 = zeros.mean(axis=0)
-    s0 = zeros.std(axis=0)
-    denom = s1 + s0
-    qs = np.divide(mu1 - mu0, denom, out=np.zeros(spb), where=denom > 0.0)
-    closed = denom == 0.0
-    qs[closed] = np.where(mu1[closed] > mu0[closed], Q_CAP, 0.0)
-    qs = np.clip(qs, 0.0, Q_CAP)
-    phase = int(np.argmax(qs))
-
-    rail = q_from_rails(ones[:, phase], zeros[:, phase])
-    eye = fold_eye(ElectricalWaveform(aligned, grid), grid, skip_bits)
+    # One contiguous row per phase, so each row reduces exactly as a 1-D rail does.
+    stats = _rail_stats(
+        np.ascontiguousarray(eye.traces[mask].T), np.ascontiguousarray(eye.traces[~mask].T)
+    )
+    phase = int(np.argmax(stats[-1]))
+    mu1, s1, mu0, s0, q = (float(values[phase]) for values in stats)
     if eye.crossing_offsets.size >= 2:
         jitter_ns = float(
             (np.max(eye.crossing_offsets) - np.min(eye.crossing_offsets)) * 1e9
@@ -246,16 +234,16 @@ def estimate_q(
     else:
         jitter_ns = 0.0
     return QResult(
-        q_linear=rail.q_linear,
-        q_db=rail.q_db,
-        ber=rail.ber,
+        q_linear=q,
+        q_db=_q_db(q),
+        ber=ber_from_q(q),
         jitter_ns=jitter_ns,
         decision_phase=phase,
-        threshold=0.5 * (rail.mu1 + rail.mu0),
-        mu1=rail.mu1,
-        sigma1=rail.sigma1,
-        mu0=rail.mu0,
-        sigma0=rail.sigma0,
+        threshold=0.5 * (mu1 + mu0),
+        mu1=mu1,
+        sigma1=s1,
+        mu0=mu0,
+        sigma0=s0,
         n_ones=n_ones,
         n_zeros=n_zeros,
         delay_samples=delay,

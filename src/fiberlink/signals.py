@@ -52,9 +52,16 @@ class SamplingGrid:
     bit_rate: float  # bits per second
     n_bits: int
     samples_per_bit: int
-    dt: float  # sample spacing, seconds
-    n_samples: int
     center_wavelength: float  # meters
+
+    @property
+    def dt(self) -> float:
+        """Sample spacing, seconds."""
+        return 1.0 / (self.bit_rate * self.samples_per_bit)
+
+    @property
+    def n_samples(self) -> int:
+        return self.n_bits * self.samples_per_bit
 
     @property
     def bit_period(self) -> float:
@@ -119,13 +126,10 @@ def make_grid(
         raise ValueError(
             f"grid of {n_samples} samples exceeds the FFT bound of {MAX_FFT_SAMPLES}"
         )
-    dt = 1.0 / (bit_rate * samples_per_bit)
     return SamplingGrid(
         bit_rate=float(bit_rate),
         n_bits=int(n_bits),
         samples_per_bit=int(samples_per_bit),
-        dt=dt,
-        n_samples=n_samples,
         center_wavelength=float(center_wavelength),
     )
 

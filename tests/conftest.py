@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fiberlink as fl
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env() -> dict[str, str]:
+    """The current environment with this tree's ``src`` first on ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture

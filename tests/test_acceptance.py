@@ -17,6 +17,8 @@ import pytest
 import fiberlink as fl
 from fiberlink.cli import main
 
+from conftest import subprocess_env
+
 GRID64 = fl.make_grid(10e9, 64, 32, 1550e-9)
 
 SMALL_CFG = "\n".join(
@@ -236,6 +238,7 @@ def test_criterion_7_reproducibility(tmp_path):
             ],
             capture_output=True,
             timeout=300,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append((out_dir / "sweep.csv").read_bytes())
@@ -263,6 +266,7 @@ def test_in_process_sweep_matches_subprocess(tmp_path):
         ],
         capture_output=True,
         timeout=300,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert (out_dir / "sweep.csv").read_bytes() == (tmp_path / "subproc" / "sweep.csv").read_bytes()

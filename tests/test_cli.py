@@ -7,6 +7,8 @@ import pytest
 
 from fiberlink.cli import CSV_HEADER, main
 
+from conftest import subprocess_env
+
 SMALL_CFG = "\n".join(
     [
         "sim.n_bits = 64",
@@ -154,7 +156,7 @@ class TestSweep:
             "--pre", "2.4,3.0", "--post", "2.4",
             "--out", str(tmp_path),
         ])
-        assert rc == 1
+        assert rc == 2
         assert "zip pairing requires equally long lists" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -245,6 +247,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             timeout=120,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("position_km,accumulated_ps_nm")
@@ -257,6 +260,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             timeout=120,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("position_km,accumulated_ps_nm\n0.0,0.0\n")

@@ -157,14 +157,14 @@ class TestLinkConfig:
 class TestRunLink:
     def test_deterministic(self):
         cfg = small_link_config()
-        a = fl.run_link(cfg)
-        b = fl.run_link(cfg)
+        a = fl.run_link_full(cfg).q
+        b = fl.run_link_full(cfg).q
         assert a == b
 
     def test_seed_changes_outcome(self):
         cfg = small_link_config()
         other = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=7))
-        assert fl.run_link(cfg) != fl.run_link(other)
+        assert fl.run_link_full(cfg).q != fl.run_link_full(other).q
 
     def test_full_result_contents(self):
         cfg = small_link_config()
@@ -174,7 +174,7 @@ class TestRunLink:
             fl.residual_dispersion(result.topology)
         )
         assert result.grid.n_bits == 64
-        assert result.eye.traces.shape == (56, 16)
+        assert result.q.eye.traces.shape == (56, 16)
         assert result.q.ber <= 0.5
 
     def test_eye_folded_once_per_run(self, monkeypatch):
@@ -194,15 +194,15 @@ class TestRunLink:
             np.roll(result.received.samples, -result.q.delay_samples), result.grid
         )
         expected = fold(aligned, result.grid, 8)
-        np.testing.assert_array_equal(result.eye.traces, expected.traces)
-        np.testing.assert_array_equal(result.eye.crossing_times, expected.crossing_times)
+        np.testing.assert_array_equal(result.q.eye.traces, expected.traces)
+        np.testing.assert_array_equal(result.q.eye.crossing_times, expected.crossing_times)
 
     def test_compensated_beats_uncompensated(self):
         base = small_link_config()
         # same line, DCF lengths far off the zero-residual point
         worse = dataclasses.replace(base, pre_length_km=7.0, post_length_km=7.0)
-        q_good = fl.run_link(base)
-        q_bad = fl.run_link(worse)
+        q_good = fl.run_link_full(base).q
+        q_bad = fl.run_link_full(worse).q
         assert q_good.q_db > q_bad.q_db
 
     def test_noise_free_run_is_clean(self):
@@ -211,9 +211,9 @@ class TestRunLink:
             "rx.thermal_psd": 0,
             "rx.shot_noise": "false",
         })
-        q = fl.run_link(cfg)
+        q = fl.run_link_full(cfg).q
         assert q.q_db > 20.0
-        assert fl.run_link(cfg) == q
+        assert fl.run_link_full(cfg).q == q
 
 
 class TestSweep:

@@ -146,6 +146,25 @@ class TestEstimateQ:
         assert q.q_linear == pytest.approx(expected.q_linear, rel=1e-9)
         assert q.ber == pytest.approx(expected.ber, rel=1e-6)
 
+    def test_chosen_phase_is_bit_equal_to_rail_formula(self):
+        # a shaped, noisy eye whose phases differ: the statistics estimate_q
+        # reports must be the very floats q_from_rails gives for the chosen
+        # phase's column, so a change of reduction order fails here
+        grid = fl.make_grid(10e9, 1024, 8, 1550e-9)
+        bits = fl.prbs_generate(9, 1, 1024)
+        noise = np.random.default_rng(3).normal(0.0, 0.1, grid.n_samples)
+        wave = fl.ElectricalWaveform(fl.nrz_drive(bits, grid).samples + noise, grid)
+        q = fl.estimate_q(wave, bits, grid, 8)
+        column = q.eye.traces[:, q.decision_phase]
+        ones = bits.bits[8:] == 1
+        rail = fl.q_from_rails(column[ones], column[~ones])
+        assert 0.0 < q.q_linear < Q_CAP
+        assert q.q_linear == rail.q_linear
+        assert q.mu1 == rail.mu1
+        assert q.sigma1 == rail.sigma1
+        assert q.mu0 == rail.mu0
+        assert q.sigma0 == rail.sigma0
+
     @settings(max_examples=20, deadline=None)
     @given(
         scale=st.floats(0.05, 50.0),

@@ -1,14 +1,12 @@
 """The example scripts in scripts/ run to completion against this source tree."""
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, subprocess_env
 
 
 @pytest.mark.parametrize(
@@ -20,13 +18,12 @@ ROOT = Path(__file__).resolve().parent.parent
     ids=["compensation_sweep", "dispersion_map"],
 )
 def test_script_exits_0(script, args, expected):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
+        env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
