@@ -8,7 +8,9 @@ across dispersion maps is not confounded by net loss.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,7 @@ from .fiber import (
 )
 from .metrics import MIN_RAIL_BITS, QResult, estimate_q
 from .receiver import RxConfig, receive
-from .signals import ElectricalWaveform, SamplingGrid, make_grid
+from .signals import ElectricalWaveform, OpticalField, SamplingGrid, make_grid
 from .transmitter import DEFAULT_LFSR_SEED, BitSequence, TxConfig, prbs_generate, transmit
 
 __all__ = [
@@ -186,9 +188,7 @@ class LinkConfig:
 
     def validate(self) -> "LinkConfig":
         """Check cross-module consistency (grid, filter, eye, topology); returns self."""
-        grid = make_grid(
-            self.tx.bit_rate, self.sim.n_bits, self.sim.samples_per_bit, self.tx.wavelength
-        )
+        grid = self.grid()
         if not self.rx.bessel_bandwidth < 0.5 * grid.sample_rate:
             raise ValueError(
                 f"rx bessel_bandwidth {self.rx.bessel_bandwidth:.6g} Hz must be below "
@@ -204,6 +204,11 @@ class LinkConfig:
             )
         self.resolve_topology()
         return self
+
+    def grid(self) -> SamplingGrid:
+        return make_grid(
+            self.tx.bit_rate, self.sim.n_bits, self.sim.samples_per_bit, self.tx.wavelength
+        )
 
     def resolve_amplifier(self) -> AmplifierParams:
         """Fill a restore-mode amplifier's target from the launch power."""
@@ -236,33 +241,44 @@ class LinkRunResult:
     seed: int
 
 
-def run_link_full(config: LinkConfig) -> LinkRunResult:
-    """Run transmitter -> link -> receiver -> metrics for one configuration.
+def _streams(seed: int) -> list[np.random.SeedSequence]:
+    """Seed sequences of the transmitter, the amplifier chain and the receiver."""
+    return np.random.SeedSequence(seed).spawn(3)
 
-    Independent RNG streams for the transmitter, amplifier chain, and receiver
-    are derived from ``config.sim.seed``, so a run is a pure function of
-    (config, seed).
-    """
-    grid = make_grid(
-        config.tx.bit_rate, config.sim.n_bits, config.sim.samples_per_bit, config.tx.wavelength
-    )
-    topology = config.resolve_topology()
-    master = np.random.SeedSequence(config.sim.seed)
-    tx_ss, amp_ss, rx_ss = master.spawn(3)
+
+def _transmit(
+    config: LinkConfig, grid: SamplingGrid
+) -> tuple[BitSequence, OpticalField, np.random.Generator]:
+    """The state before element 0: bits, transmitted field and a fresh amplifier RNG."""
+    tx_ss, amp_ss, _ = _streams(config.sim.seed)
     bits, field_ = transmit(config.tx, grid, rng=np.random.default_rng(tx_ss))
-    amp_rng = np.random.default_rng(amp_ss)
-    for index, element in enumerate(topology.elements):
+    return bits, field_, np.random.default_rng(amp_ss)
+
+
+def _walk(
+    field_: OpticalField, amp_rng: np.random.Generator, topology: LinkTopology,
+    ssfm: SsfmOptions, start: int = 0,
+) -> Iterator[tuple[int, OpticalField]]:
+    """Yield ``(k, field)`` at each point ``k`` of the chain, from ``start`` to its end."""
+    yield start, field_
+    for index, element in enumerate(topology.elements[start:], start):
         try:
             if isinstance(element, FiberParams):
-                field_ = propagate_fiber(field_, element, config.sim.ssfm)
+                field_ = propagate_fiber(field_, element, ssfm)
             else:
                 field_ = amplify(field_, element, amp_rng)
         except PropagationError as exc:
             raise PropagationError(f"element {index} ({element.label}): {exc}") from exc
-    received = receive(field_, config.rx, np.random.default_rng(rx_ss))
-    q = estimate_q(received, bits, grid, config.sim.skip_bits)
+        yield index + 1, field_
+
+
+def _finish(
+    config: LinkConfig, grid: SamplingGrid, topology: LinkTopology, bits: BitSequence,
+    field_: OpticalField,
+) -> LinkRunResult:
+    received = receive(field_, config.rx, np.random.default_rng(_streams(config.sim.seed)[2]))
     return LinkRunResult(
-        q=q,
+        q=estimate_q(received, bits, grid, config.sim.skip_bits),
         bits=bits,
         received=received,
         grid=grid,
@@ -272,6 +288,20 @@ def run_link_full(config: LinkConfig) -> LinkRunResult:
     )
 
 
+def run_link_full(config: LinkConfig) -> LinkRunResult:
+    """Run transmitter -> link -> receiver -> metrics for one configuration.
+
+    Independent RNG streams for the transmitter, amplifier chain, and receiver
+    are derived from ``config.sim.seed``, so a run is a pure function of
+    (config, seed).
+    """
+    grid, topology = config.grid(), config.resolve_topology()
+    bits, field_, amp_rng = _transmit(config, grid)
+    for _, field_ in _walk(field_, amp_rng, topology, config.sim.ssfm):
+        pass
+    return _finish(config, grid, topology, bits, field_)
+
+
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     """A family of runs over (pre, post) DCF length pairs.
@@ -279,7 +309,10 @@ class SweepSpec:
     ``pairing = "zip"`` walks the two lists in lockstep (equal lengths
     required); ``"cross"`` runs the Cartesian product. By default every row
     reuses the master seed so Q differences reflect the dispersion map alone;
-    ``per_row_seeds`` derives a distinct child seed per row instead.
+    ``per_row_seeds`` derives a distinct child seed per row instead. Rows that
+    share a seed share the transmitted signal and any common element-chain
+    prefix, which :func:`sweep` computes once; each row still equals
+    ``run_link_full`` of its config. ``per_row_seeds`` turns the sharing off.
     """
 
     pre_lengths_km: tuple[float, ...]
@@ -322,44 +355,51 @@ class SweepRow:
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Run every sweep point, collecting failures instead of aborting."""
-    rows: list[SweepRow] = []
-    master_seed = spec.config.sim.seed
+    """Run every sweep point, collecting failures instead of aborting.
+
+    Rows run in order, each resuming from the state at the end of the longest
+    element-chain prefix it shares with an earlier row of its seed.
+    """
+    plan: list[tuple[float, float, int, tuple | Exception]] = []
+    # A prefix's state (bits, field, amplifier RNG) is kept until its last resuming row.
+    seen: set[tuple] = set()
+    last_use: dict[tuple, int] = {}
     for index, (pre, post) in enumerate(spec.pairs()):
+        seed = spec.config.sim.seed
         if spec.per_row_seeds:
-            seed = int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
-        else:
-            seed = master_seed
+            seed = int(np.random.SeedSequence([spec.config.sim.seed, index]).generate_state(1)[0])
         try:
-            cfg = dataclasses.replace(
-                spec.config,
-                pre_length_km=pre,
-                post_length_km=post,
-                sim=dataclasses.replace(spec.config.sim, seed=seed),
-            )
-            result = run_link_full(cfg)
-            rows.append(
-                SweepRow(
-                    pre_km=pre,
-                    post_km=post,
-                    residual_ps_nm=result.residual_ps_nm,
-                    q_db=result.q.q_db,
-                    ber=result.q.ber,
-                    jitter_ns=result.q.jitter_ns,
-                    seed=seed,
-                )
-            )
+            sim = dataclasses.replace(spec.config.sim, seed=seed)
+            cfg = dataclasses.replace(spec.config, pre_length_km=pre, post_length_km=post, sim=sim)
+            grid, topology = cfg.grid(), cfg.resolve_topology()
+            keys = [(seed, topology.elements[:k]) for k in range(len(topology.elements) + 1)]
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
-            rows.append(
-                SweepRow(
-                    pre_km=pre,
-                    post_km=post,
-                    residual_ps_nm=None,
-                    q_db=None,
-                    ber=None,
-                    jitter_ns=None,
-                    seed=seed,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            plan.append((pre, post, seed, exc))
+            continue
+        plan.append((pre, post, seed, (cfg, grid, topology, keys)))
+        shared = [key for key in keys if key in seen]
+        if shared:
+            last_use[shared[-1]] = index
+        seen.update(keys)
+
+    rows: list[SweepRow] = []
+    saved: dict[tuple, tuple[BitSequence, OpticalField, np.random.Generator]] = {}
+    for index, (pre, post, seed, built) in enumerate(plan):
+        try:
+            if isinstance(built, Exception):
+                raise built
+            cfg, grid, topology, keys = built
+            start = max((k for k, key in enumerate(keys) if key in saved), default=0)
+            bits, field_, amp_rng = saved.get(keys[start]) or _transmit(cfg, grid)
+            amp_rng = copy.deepcopy(amp_rng)  # later rows may resume from the same state
+            for k, field_ in _walk(field_, amp_rng, topology, cfg.sim.ssfm, start):
+                if last_use.get(keys[k], index) > index and keys[k] not in saved:
+                    saved[keys[k]] = (bits, field_, copy.deepcopy(amp_rng))
+            r = _finish(cfg, grid, topology, bits, field_)
+            row = SweepRow(pre, post, r.residual_ps_nm, r.q.q_db, r.q.ber, r.q.jitter_ns, seed)
+        except Exception as exc:  # noqa: BLE001 - row-level fault isolation
+            row = SweepRow(pre, post, None, None, None, None, seed, f"{type(exc).__name__}: {exc}")
+        rows.append(row)
+        for key in [key for key in saved if last_use[key] == index]:
+            del saved[key]
     return rows

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
 from fiberlink import link, metrics
-from fiberlink.fiber import AmplifierParams, FiberParams
+from fiberlink.fiber import AmplifierParams, FiberParams, PropagationError
 
 from conftest import small_link_config
 
@@ -216,6 +217,35 @@ class TestRunLink:
         assert fl.run_link_full(cfg).q == q
 
 
+# (pre lengths, post lengths, pairing) of small sweeps whose rows share work
+SHARED_SWEEPS = {
+    "cross": ((2.4, 3.0), (2.4, 3.0), "cross"),
+    "zip_repeat": ((2.4, 3.0, 2.4), (2.4, 2.4, 3.0), "zip"),
+    "duplicate": ((2.4, 2.4), (2.4, 2.4), "zip"),
+    "one_state_two_rows": ((2.4,), (2.4, 3.0, 3.6), "cross"),
+}
+
+
+def ase_sweep(pre, post, pairing, **kwargs):
+    """A sweep with the transmitter, amplifier and receiver RNGs all live."""
+    cfg = small_link_config(**{"amp.ase": "true"})
+    return fl.SweepSpec(pre, post, cfg, pairing, **kwargs)
+
+
+def single_run(spec, pre, post):
+    cfg = dataclasses.replace(spec.config, pre_length_km=pre, post_length_km=post)
+    return fl.run_link_full(cfg)
+
+
+def assert_row_is_single_run(spec, row):
+    full = single_run(spec, row.pre_km, row.post_km)
+    assert row.error is None
+    assert row.residual_ps_nm == full.residual_ps_nm
+    assert row.q_db == full.q.q_db
+    assert row.ber == full.q.ber
+    assert row.jitter_ns == full.q.jitter_ns
+
+
 class TestSweep:
     def test_zip_rows(self):
         cfg = small_link_config()
@@ -291,3 +321,55 @@ class TestSweep:
         assert rows_a[0].seed != rows_a[1].seed
         assert [r.seed for r in rows_a] == [r.seed for r in rows_b]
         assert [r.q_db for r in rows_a] == [r.q_db for r in rows_b]
+
+    @pytest.mark.parametrize("name", list(SHARED_SWEEPS))
+    def test_rows_equal_single_runs(self, name):
+        spec = ase_sweep(*SHARED_SWEEPS[name])
+        rows = fl.sweep(spec)
+        assert [(r.pre_km, r.post_km) for r in rows] == spec.pairs()
+        for row in rows:
+            assert_row_is_single_run(spec, row)
+
+    @pytest.mark.parametrize(
+        "per_row_seeds,counts", [(False, (10, 10, 1)), (True, (16, 16, 4))]
+    )
+    def test_shared_work_counts(self, monkeypatch, per_row_seeds, counts):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in ("propagate_fiber", "amplify", "transmit"):
+            monkeypatch.setattr(link, name, counting(name, getattr(link, name)))
+        rows = fl.sweep(ase_sweep(*SHARED_SWEEPS["cross"], per_row_seeds=per_row_seeds))
+        assert all(r.error is None for r in rows)
+        assert (calls["propagate_fiber"], calls["amplify"], calls["transmit"]) == counts
+
+    def test_build_failure_in_shared_group(self):
+        spec = ase_sweep((2.4,), (0.0, 2.4), "cross")
+        rows = fl.sweep(spec)
+        assert rows[0].error.startswith("ValueError: symmetric compensation")
+        assert rows[0].q_db is None
+        assert_row_is_single_run(spec, rows[1])
+
+    def test_propagation_error_in_shared_group(self, monkeypatch):
+        propagate = link.propagate_fiber
+
+        def failing_smf(field, fiber, options=None):
+            if fiber.label == "SMF":
+                raise PropagationError("field became non-finite")
+            return propagate(field, fiber, options)
+
+        monkeypatch.setattr(link, "propagate_fiber", failing_smf)
+        spec = ase_sweep(*SHARED_SWEEPS["cross"])
+        with pytest.raises(PropagationError) as info:
+            single_run(spec, 2.4, 2.4)
+        expected = f"PropagationError: {info.value}"
+        assert expected.startswith("PropagationError: element 2 (SMF): ")
+        rows = fl.sweep(spec)
+        assert [(r.pre_km, r.post_km) for r in rows] == spec.pairs()
+        assert [r.error for r in rows] == [expected] * len(rows)
