@@ -197,7 +197,7 @@ def parse_config(text: str) -> LinkConfig:
     updates.setdefault("pre_length_km", dcf_length if scheme in ("pre", "symmetric") else 0.0)
     updates.setdefault("post_length_km", dcf_length if scheme in ("post", "symmetric") else 0.0)
     try:
-        return _replace(base, updates).validate()
+        return _replace(base, updates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -25,7 +25,7 @@ from .fiber import (
 )
 from .metrics import MIN_RAIL_BITS, QResult, estimate_q
 from .receiver import RxConfig, receive
-from .signals import ElectricalWaveform, OpticalField, SamplingGrid, make_grid
+from .signals import ElectricalWaveform, OpticalField, SamplingGrid
 from .transmitter import DEFAULT_LFSR_SEED, BitSequence, TxConfig, prbs_generate, transmit
 
 __all__ = [
@@ -66,7 +66,6 @@ class LinkTopology:
     """Ordered element chain; fibers carry length, amplifiers are lumped."""
 
     elements: tuple[FiberParams | AmplifierParams, ...]
-    scheme: str
 
     def __post_init__(self) -> None:
         if not self.elements:
@@ -122,7 +121,7 @@ def build_link(
         add_fiber(smf)
     if l_post > 0:
         add_fiber(dataclasses.replace(dcf, length_km=l_post, label="DCF-post"))
-    return LinkTopology(elements=tuple(elements), scheme=scheme)
+    return LinkTopology(elements=tuple(elements))
 
 
 def residual_dispersion(topology: LinkTopology) -> float:
@@ -167,7 +166,12 @@ class SimSettings:
 
 @dataclass(frozen=True, slots=True)
 class LinkConfig:
-    """Complete description of one link simulation."""
+    """Complete description of one link simulation.
+
+    Construction checks what the modules must agree on: the topology, the
+    sampling grid, the receive filter against the grid's Nyquist frequency,
+    and enough bits of each value for ``estimate_q``.
+    """
 
     scheme: str = "symmetric"
     n_smf_spans: int = 2
@@ -181,13 +185,7 @@ class LinkConfig:
     sim: SimSettings = field(default_factory=SimSettings)
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.n_smf_spans < 1:
-            raise ValueError(f"n_smf_spans must be >= 1, got {self.n_smf_spans}")
-
-    def validate(self) -> "LinkConfig":
-        """Check cross-module consistency (grid, filter, eye, topology); returns self."""
+        self.resolve_topology()
         grid = self.grid()
         if not self.rx.bessel_bandwidth < 0.5 * grid.sample_rate:
             raise ValueError(
@@ -202,11 +200,9 @@ class LinkConfig:
                 f"n_bits = {self.sim.n_bits} with skip_bits = {self.sim.skip_bits} leaves too "
                 f"few bits for estimate_q: {n_ones} ones, {n_zeros} zeros, {MIN_RAIL_BITS} needed"
             )
-        self.resolve_topology()
-        return self
 
     def grid(self) -> SamplingGrid:
-        return make_grid(
+        return SamplingGrid(
             self.tx.bit_rate, self.sim.n_bits, self.sim.samples_per_bit, self.tx.wavelength
         )
 
@@ -278,7 +274,7 @@ def _finish(
 ) -> LinkRunResult:
     received = receive(field_, config.rx, np.random.default_rng(_streams(config.sim.seed)[2]))
     return LinkRunResult(
-        q=estimate_q(received, bits, grid, config.sim.skip_bits),
+        q=estimate_q(received, bits, config.sim.skip_bits),
         bits=bits,
         received=received,
         grid=grid,

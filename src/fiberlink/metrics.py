@@ -139,17 +139,14 @@ def _as_bit_array(bits: BitSequence | np.ndarray) -> np.ndarray:
     return arr
 
 
-def fold_eye(
-    wave: ElectricalWaveform, grid: SamplingGrid, skip_bits: int = 8
-) -> EyeDiagram:
+def fold_eye(wave: ElectricalWaveform, skip_bits: int = 8) -> EyeDiagram:
     """Fold a waveform into per-bit traces and locate threshold crossings.
 
     The first ``skip_bits`` bits are discarded as filter warm-up. The decision
     threshold is the midpoint of the upper and lower sample clusters (split at
     the mean). A flat waveform has no crossings and is flagged degenerate.
     """
-    if wave.grid != grid:
-        raise ValueError("waveform grid does not match the supplied grid")
+    grid = wave.grid
     if not (0 <= skip_bits < grid.n_bits):
         raise ValueError(f"skip_bits must lie in [0, {grid.n_bits}), got {skip_bits}")
     spb = grid.samples_per_bit
@@ -196,7 +193,6 @@ def _recover_delay(wave: np.ndarray, bits: np.ndarray, spb: int) -> int:
 def estimate_q(
     wave: ElectricalWaveform,
     bits: BitSequence | np.ndarray,
-    grid: SamplingGrid,
     skip_bits: int = 8,
 ) -> QResult:
     """Estimate Q, BER, and jitter from a received waveform and known data.
@@ -205,14 +201,13 @@ def estimate_q(
     cross-correlation, folded per bit, and the rail statistics are evaluated
     at every sample phase; the phase maximizing q decides the result.
     """
+    grid = wave.grid
     b = _as_bit_array(bits)
     if b.size != grid.n_bits:
         raise ValueError(f"got {b.size} bits for a grid of {grid.n_bits} bit slots")
-    if wave.grid != grid:
-        raise ValueError("waveform grid does not match the supplied grid")
 
     delay = _recover_delay(wave.samples, b, grid.samples_per_bit)
-    eye = fold_eye(ElectricalWaveform(np.roll(wave.samples, -delay), grid), grid, skip_bits)
+    eye = fold_eye(ElectricalWaveform(np.roll(wave.samples, -delay), grid), skip_bits)
     mask = b[skip_bits:] == 1
     n_ones = int(np.count_nonzero(mask))
     n_zeros = int(mask.size - n_ones)

@@ -15,7 +15,6 @@ __all__ = [
     "SamplingGrid",
     "OpticalField",
     "ElectricalWaveform",
-    "make_grid",
     "mean_power",
     "peak_power",
     "energy",
@@ -47,12 +46,40 @@ def watts_to_dbm(p_watts: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class SamplingGrid:
-    """Uniform time/frequency lattice for one simulation run."""
+    """Uniform time/frequency lattice for one simulation run.
+
+    The constructor is the single gatekeeper for grid validity: power-of-two
+    sizes, the allowed oversampling factors, and the FFT size bound are all
+    checked here so downstream modules can assume a well-formed grid.
+    """
 
     bit_rate: float  # bits per second
     n_bits: int
     samples_per_bit: int
     center_wavelength: float  # meters
+
+    def __post_init__(self) -> None:
+        for name in ("n_bits", "samples_per_bit"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+            object.__setattr__(self, name, int(value))
+        for name in ("bit_rate", "center_wavelength"):
+            value = getattr(self, name)
+            if not (value > 0.0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, float(value))
+        spb = self.samples_per_bit
+        if spb not in ALLOWED_SAMPLES_PER_BIT:
+            raise ValueError(f"samples_per_bit must be one of {ALLOWED_SAMPLES_PER_BIT}, got {spb}")
+        if self.n_bits < 16:
+            raise ValueError(f"n_bits must be at least 16, got {self.n_bits}")
+        if not _is_pow2(self.n_bits):
+            raise ValueError(f"n_bits must be a power of two, got {self.n_bits}")
+        if self.n_samples > MAX_FFT_SAMPLES:
+            raise ValueError(
+                f"grid of {self.n_samples} samples exceeds the FFT bound of {MAX_FFT_SAMPLES}"
+            )
 
     @property
     def dt(self) -> float:
@@ -91,47 +118,6 @@ class SamplingGrid:
     def omega(self) -> np.ndarray:
         """Angular baseband frequencies in rad/s, FFT bin order."""
         return 2.0 * np.pi * self.frequencies()
-
-
-def make_grid(
-    bit_rate: float,
-    n_bits: int,
-    samples_per_bit: int,
-    center_wavelength: float = 1550e-9,
-) -> SamplingGrid:
-    """Build the sampling grid, enforcing every lattice invariant.
-
-    This is the single gatekeeper for grid validity: power-of-two sizes,
-    the allowed oversampling factors, and the FFT size bound are all
-    checked here so downstream modules can assume a well-formed grid.
-    """
-    if not isinstance(n_bits, (int, np.integer)) or isinstance(n_bits, bool):
-        raise TypeError(f"n_bits must be an integer, got {type(n_bits).__name__}")
-    if not isinstance(samples_per_bit, (int, np.integer)) or isinstance(samples_per_bit, bool):
-        raise TypeError(f"samples_per_bit must be an integer, got {type(samples_per_bit).__name__}")
-    if not (bit_rate > 0.0 and np.isfinite(bit_rate)):
-        raise ValueError(f"bit_rate must be positive and finite, got {bit_rate}")
-    if not (center_wavelength > 0.0 and np.isfinite(center_wavelength)):
-        raise ValueError(f"center_wavelength must be positive and finite, got {center_wavelength}")
-    if samples_per_bit not in ALLOWED_SAMPLES_PER_BIT:
-        raise ValueError(
-            f"samples_per_bit must be one of {ALLOWED_SAMPLES_PER_BIT}, got {samples_per_bit}"
-        )
-    if n_bits < 16:
-        raise ValueError(f"n_bits must be at least 16, got {n_bits}")
-    if not _is_pow2(n_bits):
-        raise ValueError(f"n_bits must be a power of two, got {n_bits}")
-    n_samples = int(n_bits) * int(samples_per_bit)
-    if n_samples > MAX_FFT_SAMPLES:
-        raise ValueError(
-            f"grid of {n_samples} samples exceeds the FFT bound of {MAX_FFT_SAMPLES}"
-        )
-    return SamplingGrid(
-        bit_rate=float(bit_rate),
-        n_bits=int(n_bits),
-        samples_per_bit=int(samples_per_bit),
-        center_wavelength=float(center_wavelength),
-    )
 
 
 def _validate_samples(samples: np.ndarray, grid: SamplingGrid, kind: str) -> None:

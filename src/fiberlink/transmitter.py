@@ -46,10 +46,9 @@ DEFAULT_LFSR_SEED = 1
 
 @dataclass(frozen=True, slots=True)
 class BitSequence:
-    """A binary data pattern plus a tag describing how it was generated."""
+    """A binary data pattern."""
 
     bits: np.ndarray
-    generator: str
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.bits, dtype=np.uint8)
@@ -121,7 +120,7 @@ def prbs_generate(order: int, seed: int, n_bits: int) -> BitSequence:
     if n_bits > period:
         reps = -(-int(n_bits) // period)
         out = np.tile(out, reps)[: int(n_bits)]
-    return BitSequence(bits=out, generator=f"prbs{order}")
+    return BitSequence(bits=out)
 
 
 def nrz_drive(bits: BitSequence, grid: SamplingGrid, rise_time: float = 0.25) -> ElectricalWaveform:

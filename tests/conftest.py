@@ -20,13 +20,13 @@ def subprocess_env() -> dict[str, str]:
 @pytest.fixture
 def grid64():
     """Small default-rate grid: 64 bits at 32 samples/bit."""
-    return fl.make_grid(10e9, 64, 32, 1550e-9)
+    return fl.SamplingGrid(10e9, 64, 32, 1550e-9)
 
 
 @pytest.fixture
 def grid_tiny():
     """Minimal legal grid for fast structural tests."""
-    return fl.make_grid(10e9, 16, 8, 1550e-9)
+    return fl.SamplingGrid(10e9, 16, 8, 1550e-9)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from fiberlink.cli import main
 
 from conftest import subprocess_env
 
-GRID64 = fl.make_grid(10e9, 64, 32, 1550e-9)
+GRID64 = fl.SamplingGrid(10e9, 64, 32, 1550e-9)
 
 SMALL_CFG = "\n".join(
     [

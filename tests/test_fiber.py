@@ -12,7 +12,7 @@ BETA2_D16 = -20.4071711919199  # ps^2/km
 BETA2_DM80 = 102.0358559595995  # ps^2/km
 ALPHA_02 = 0.046051701859880924  # 1/km for 0.2 dB/km
 
-GRID64 = fl.make_grid(10e9, 64, 32, 1550e-9)
+GRID64 = fl.SamplingGrid(10e9, 64, 32, 1550e-9)
 
 
 def gaussian(grid, t0=25e-12, peak_w=1.0):

@@ -69,7 +69,7 @@ class TestBuildLink:
 
     def test_topology_requires_smf(self):
         with pytest.raises(ValueError, match="SMF"):
-            fl.LinkTopology(elements=(AmplifierParams(target_dbm=0.0),), scheme="post")
+            fl.LinkTopology(elements=(AmplifierParams(target_dbm=0.0),))
 
 
 class TestDispersionAccounting:
@@ -127,7 +127,6 @@ class TestDispersionAccounting:
 class TestLinkConfig:
     def test_defaults_are_valid(self):
         cfg = fl.LinkConfig()
-        cfg.validate()
         topo = cfg.resolve_topology()
         assert fl.residual_dispersion(topo) == 0.0
 
@@ -144,15 +143,50 @@ class TestLinkConfig:
         assert cfg.resolve_amplifier().target_dbm == -2.0
 
     def test_validate_rejects_oversized_filter(self):
-        cfg = dataclasses.replace(
-            fl.LinkConfig(), rx=fl.RxConfig(bessel_bandwidth=200e9)
-        )
         with pytest.raises(ValueError, match="[Nn]yquist"):
-            cfg.validate()
+            dataclasses.replace(fl.LinkConfig(), rx=fl.RxConfig(bessel_bandwidth=200e9))
 
     def test_rejects_bad_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
             fl.LinkConfig(scheme="iir")
+
+    def test_replace_rejects_too_few_rail_bits(self):
+        cfg = fl.LinkConfig()
+        with pytest.raises(ValueError, match="too few bits for estimate_q"):
+            dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, n_bits=16))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_bits=st.sampled_from([16, 32, 64]),
+        samples_per_bit=st.sampled_from([8, 16]),
+        skip_bits=st.integers(0, 20),
+        bandwidth_ghz=st.floats(1.0, 200.0),
+        scheme=st.sampled_from(fl.SCHEMES),
+        pre=st.sampled_from([0.0, 2.4]),
+        post=st.sampled_from([0.0, 2.4]),
+    )
+    def test_every_config_that_constructs_runs(
+        self, n_bits, samples_per_bit, skip_bits, bandwidth_ghz, scheme, pre, post
+    ):
+        base = small_link_config()
+        try:
+            cfg = dataclasses.replace(
+                base,
+                scheme=scheme,
+                pre_length_km=pre,
+                post_length_km=post,
+                rx=dataclasses.replace(base.rx, bessel_bandwidth=bandwidth_ghz * 1e9),
+                sim=dataclasses.replace(
+                    base.sim,
+                    n_bits=n_bits,
+                    samples_per_bit=samples_per_bit,
+                    skip_bits=skip_bits,
+                    ssfm=fl.SsfmOptions(step_km=4.0),
+                ),
+            )
+        except ValueError:
+            return
+        fl.run_link_full(cfg)
 
 
 class TestRunLink:
@@ -194,7 +228,7 @@ class TestRunLink:
         aligned = fl.ElectricalWaveform(
             np.roll(result.received.samples, -result.q.delay_samples), result.grid
         )
-        expected = fold(aligned, result.grid, 8)
+        expected = fold(aligned, 8)
         np.testing.assert_array_equal(result.q.eye.traces, expected.traces)
         np.testing.assert_array_equal(result.q.eye.crossing_times, expected.crossing_times)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import fiberlink as fl
 from fiberlink.metrics import BER_FLOOR, Q_CAP
 
-GRID = fl.make_grid(10e9, 64, 32, 1550e-9)
+GRID = fl.SamplingGrid(10e9, 64, 32, 1550e-9)
 
 
 def ideal_nrz(bits, grid):
@@ -75,22 +75,22 @@ class TestFoldEye:
     def test_trace_shape_and_time_axis(self):
         bits = fl.prbs_generate(7, 1, 64)
         wave = fl.ElectricalWaveform(ideal_nrz(bits.bits, GRID), GRID)
-        eye = fl.fold_eye(wave, GRID, skip_bits=8)
+        eye = fl.fold_eye(wave, skip_bits=8)
         assert eye.traces.shape == (56, 32)
         np.testing.assert_allclose(eye.time_ui, np.arange(32) / 32)
         assert not eye.degenerate
 
     def test_constant_waveform_degenerate(self):
         wave = fl.ElectricalWaveform(np.full(GRID.n_samples, 0.7), GRID)
-        eye = fl.fold_eye(wave, GRID, skip_bits=8)
+        eye = fl.fold_eye(wave, skip_bits=8)
         assert eye.degenerate
         assert eye.crossing_times.size == 0
         assert eye.crossing_offsets.size == 0
 
     def test_alternating_trapezoid_crossings_near_boundaries(self):
-        bits = fl.BitSequence(np.tile([0, 1], 32).astype(np.uint8), "alt")
+        bits = fl.BitSequence(np.tile([0, 1], 32).astype(np.uint8))
         drive = fl.nrz_drive(bits, GRID, 0.25)
-        eye = fl.fold_eye(drive, GRID, skip_bits=8)
+        eye = fl.fold_eye(drive, skip_bits=8)
         assert 0.4 < eye.threshold < 0.6
         # one transition per internal bit boundary of the kept region
         assert eye.crossing_times.size == 55
@@ -101,15 +101,15 @@ class TestFoldEye:
         samples = ideal_nrz(np.ones(64, dtype=np.uint8), GRID)
         samples[: 8 * 32] = -99.0  # garbage confined to the warm-up region
         wave = fl.ElectricalWaveform(samples, GRID)
-        eye = fl.fold_eye(wave, GRID, skip_bits=8)
+        eye = fl.fold_eye(wave, skip_bits=8)
         assert np.all(eye.traces == 1.0)
 
     def test_bad_skip_bits(self):
         wave = fl.ElectricalWaveform(np.zeros(GRID.n_samples), GRID)
         with pytest.raises(ValueError, match="skip_bits"):
-            fl.fold_eye(wave, GRID, skip_bits=64)
+            fl.fold_eye(wave, skip_bits=64)
         with pytest.raises(ValueError, match="skip_bits"):
-            fl.fold_eye(wave, GRID, skip_bits=-1)
+            fl.fold_eye(wave, skip_bits=-1)
 
 
 class TestEstimateQ:
@@ -118,14 +118,14 @@ class TestEstimateQ:
         base = ideal_nrz(bits.bits, GRID)
         for shift in (0, 1, 17, 1000):
             wave = fl.ElectricalWaveform(np.roll(base, shift), GRID)
-            q = fl.estimate_q(wave, bits, GRID, 8)
+            q = fl.estimate_q(wave, bits, 8)
             assert q.delay_samples == shift % GRID.n_samples
             assert q.q_linear == Q_CAP  # clean rails separate perfectly
 
     def test_clean_waveform_caps_q(self):
         bits = fl.prbs_generate(7, 1, 64)
         drive = fl.nrz_drive(bits, GRID, 0.25)
-        q = fl.estimate_q(drive, bits, GRID, 8)
+        q = fl.estimate_q(drive, bits, 8)
         assert q.q_linear == Q_CAP
         assert q.ber == BER_FLOOR
         assert q.threshold == pytest.approx(0.5, abs=1e-12)
@@ -137,10 +137,10 @@ class TestEstimateQ:
         rng = np.random.default_rng(10)
         bits = (rng.random(1024) < 0.5).astype(np.uint8)
         bits[:16] = np.tile([0, 1], 8)  # guarantee both rails after warm-up
-        grid = fl.make_grid(10e9, 1024, 8, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 1024, 8, 1550e-9)
         levels = bits.astype(np.float64) + rng.normal(0.0, 0.1, 1024)
         wave = fl.ElectricalWaveform(np.repeat(levels, 8), grid)
-        q = fl.estimate_q(wave, bits, grid, 8)
+        q = fl.estimate_q(wave, bits, 8)
         kept = levels[8:]
         expected = fl.q_from_rails(kept[bits[8:] == 1], kept[bits[8:] == 0])
         assert q.q_linear == pytest.approx(expected.q_linear, rel=1e-9)
@@ -150,11 +150,11 @@ class TestEstimateQ:
         # a shaped, noisy eye whose phases differ: the statistics estimate_q
         # reports must be the very floats q_from_rails gives for the chosen
         # phase's column, so a change of reduction order fails here
-        grid = fl.make_grid(10e9, 1024, 8, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 1024, 8, 1550e-9)
         bits = fl.prbs_generate(9, 1, 1024)
         noise = np.random.default_rng(3).normal(0.0, 0.1, grid.n_samples)
         wave = fl.ElectricalWaveform(fl.nrz_drive(bits, grid).samples + noise, grid)
-        q = fl.estimate_q(wave, bits, grid, 8)
+        q = fl.estimate_q(wave, bits, 8)
         column = q.eye.traces[:, q.decision_phase]
         ones = bits.bits[8:] == 1
         rail = fl.q_from_rails(column[ones], column[~ones])
@@ -175,8 +175,8 @@ class TestEstimateQ:
         rng = np.random.default_rng(seed)
         bits = fl.prbs_generate(7, 1, 64)
         base = ideal_nrz(bits.bits, GRID) + rng.normal(0.0, 0.05, GRID.n_samples)
-        q1 = fl.estimate_q(fl.ElectricalWaveform(base, GRID), bits, GRID, 8)
-        q2 = fl.estimate_q(fl.ElectricalWaveform(scale * base + offset, GRID), bits, GRID, 8)
+        q1 = fl.estimate_q(fl.ElectricalWaveform(base, GRID), bits, 8)
+        q2 = fl.estimate_q(fl.ElectricalWaveform(scale * base + offset, GRID), bits, 8)
         assert q2.q_linear == pytest.approx(q1.q_linear, rel=1e-6)
 
     def test_insufficient_rail_population(self):
@@ -184,19 +184,19 @@ class TestEstimateQ:
         bits[:3] = 1
         wave = fl.ElectricalWaveform(ideal_nrz(bits, GRID), GRID)
         with pytest.raises(ValueError, match="8 bits"):
-            fl.estimate_q(wave, bits, GRID, 8)
+            fl.estimate_q(wave, bits, 8)
 
     def test_bit_count_mismatch(self):
         wave = fl.ElectricalWaveform(np.zeros(GRID.n_samples), GRID)
         with pytest.raises(ValueError, match="bits"):
-            fl.estimate_q(wave, np.ones(32, dtype=np.uint8), GRID, 8)
+            fl.estimate_q(wave, np.ones(32, dtype=np.uint8), 8)
 
     def test_jitter_tiny_for_symmetric_pattern(self):
         # identical rise/fall transitions leave only the sub-sample crossing
         # asymmetry from the cluster threshold, orders below one UI
-        bits = fl.BitSequence(np.tile([0, 1], 32).astype(np.uint8), "alt")
+        bits = fl.BitSequence(np.tile([0, 1], 32).astype(np.uint8))
         drive = fl.nrz_drive(bits, GRID, 0.25)
-        q = fl.estimate_q(drive, bits, GRID, 8)
+        q = fl.estimate_q(drive, bits, 8)
         assert q.jitter_ns < 1e-3
 
 
@@ -204,7 +204,7 @@ class TestFormatEye:
     def test_layout_and_roundtrip(self):
         bits = fl.prbs_generate(7, 1, 64)
         wave = fl.ElectricalWaveform(ideal_nrz(bits.bits, GRID), GRID)
-        eye = fl.fold_eye(wave, GRID, skip_bits=8)
+        eye = fl.fold_eye(wave, skip_bits=8)
         text = fl.format_eye(eye)
         lines = text.strip().split("\n")
         assert lines[0].startswith("#")

@@ -8,7 +8,7 @@ from scipy.signal import bessel, lti, step
 import fiberlink as fl
 from fiberlink.receiver import ELECTRON_CHARGE, _bessel_response
 
-GRID = fl.make_grid(10e9, 64, 32, 1550e-9)
+GRID = fl.SamplingGrid(10e9, 64, 32, 1550e-9)
 NOISELESS = fl.RxConfig(thermal_noise_psd=0.0, shot_noise=False)
 
 
@@ -33,7 +33,7 @@ class TestPhotodetect:
         np.testing.assert_array_equal(out.samples, 0.0)
 
     def test_thermal_noise_std(self):
-        grid = fl.make_grid(10e9, 1024, 32, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 1024, 32, 1550e-9)
         cfg = fl.RxConfig(thermal_noise_psd=1e-11, shot_noise=False)
         out = fl.photodetect(constant_field(0.0, grid), cfg, np.random.default_rng(8))
         expected = 1e-11 * np.sqrt(grid.sample_rate)
@@ -41,7 +41,7 @@ class TestPhotodetect:
         assert float(np.mean(out.samples)) == pytest.approx(0.0, abs=5 * expected / np.sqrt(grid.n_samples))
 
     def test_shot_noise_variance(self):
-        grid = fl.make_grid(10e9, 1024, 32, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 1024, 32, 1550e-9)
         p = 1e-3
         cfg = fl.RxConfig(thermal_noise_psd=0.0, shot_noise=True)
         out = fl.photodetect(constant_field(p, grid), cfg, np.random.default_rng(9))
@@ -84,7 +84,7 @@ class TestBesselLowpass:
         overshoot_lti = float(y.max()) - 1.0
         assert overshoot_lti < 0.01
         # route 2: the FFT implementation on a long circular square pulse
-        grid = fl.make_grid(10e9, 64, 128, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 64, 128, 1550e-9)
         sq = np.zeros(grid.n_samples)
         sq[grid.n_samples // 4 : 3 * grid.n_samples // 4] = 1.0
         out = fl.bessel_lowpass(fl.ElectricalWaveform(sq, grid), 4, 8e9)
@@ -147,12 +147,12 @@ class TestReceive:
 
     def test_back_to_back_regression(self):
         # frozen full-chain baseline: transmitter straight into the receiver
-        grid = fl.make_grid(10e9, 1024, 32, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 1024, 32, 1550e-9)
         master = np.random.SeedSequence(42)
         tx_ss, _, rx_ss = master.spawn(3)
         bits, field = fl.transmit(fl.TxConfig(), grid, rng=np.random.default_rng(tx_ss))
         wave = fl.receive(field, fl.RxConfig(), np.random.default_rng(rx_ss))
-        q = fl.estimate_q(wave, bits, grid, 8)
+        q = fl.estimate_q(wave, bits, 8)
         assert q.q_db == pytest.approx(47.524275966557, abs=0.5)
         assert q.ber == 1e-40
         assert q.jitter_ns < 0.005

@@ -12,7 +12,7 @@ from fiberlink.signals import ALLOWED_SAMPLES_PER_BIT, MAX_FFT_SAMPLES
 
 class TestMakeGrid:
     def test_default_style_grid(self):
-        grid = fl.make_grid(10e9, 1024, 32, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 1024, 32, 1550e-9)
         assert grid.n_samples == 32768
         assert grid.dt == pytest.approx(1.0 / 320e9, rel=1e-15)
         assert grid.bit_period == pytest.approx(100e-12, rel=1e-15)
@@ -21,7 +21,7 @@ class TestMakeGrid:
         assert grid.df == pytest.approx(1.0 / grid.duration, rel=1e-12)
 
     def test_spb_sixteen(self):
-        grid = fl.make_grid(10e9, 64, 16, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 64, 16, 1550e-9)
         assert grid.dt == pytest.approx(1.0 / 160e9, rel=1e-15)
         assert grid.n_samples == 1024
 
@@ -40,29 +40,29 @@ class TestMakeGrid:
     @pytest.mark.parametrize("spb", [1, 2, 4, 12, 20, 256])
     def test_rejects_bad_samples_per_bit(self, spb):
         with pytest.raises(ValueError, match="samples_per_bit"):
-            fl.make_grid(10e9, 64, spb)
+            fl.SamplingGrid(10e9, 64, spb, 1550e-9)
 
     @pytest.mark.parametrize("n_bits", [8, 15, 100, 1000])
     def test_rejects_bad_n_bits(self, n_bits):
         with pytest.raises(ValueError, match="n_bits"):
-            fl.make_grid(10e9, n_bits, 32)
+            fl.SamplingGrid(10e9, n_bits, 32, 1550e-9)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError, match="bit_rate"):
-            fl.make_grid(0.0, 64, 32)
+            fl.SamplingGrid(0.0, 64, 32, 1550e-9)
         with pytest.raises(ValueError, match="bit_rate"):
-            fl.make_grid(-1e9, 64, 32)
+            fl.SamplingGrid(-1e9, 64, 32, 1550e-9)
 
     def test_rejects_fft_overflow(self):
         assert 1 << 20 >= 16
         with pytest.raises(ValueError, match="FFT"):
-            fl.make_grid(10e9, 1 << 20, 128)
+            fl.SamplingGrid(10e9, 1 << 20, 128, 1550e-9)
 
     def test_rejects_non_integer_sizes(self):
         with pytest.raises(TypeError):
-            fl.make_grid(10e9, 64.0, 32)
+            fl.SamplingGrid(10e9, 64.0, 32, 1550e-9)
         with pytest.raises(TypeError):
-            fl.make_grid(10e9, 64, 32.0)
+            fl.SamplingGrid(10e9, 64, 32.0, 1550e-9)
 
     def test_grid_is_immutable(self, grid_tiny):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -112,7 +112,7 @@ class TestPowerAndEnergy:
         assert fl.energy(field) == pytest.approx(9.0 * grid_tiny.dt)
 
 
-GRID_TINY = fl.make_grid(10e9, 16, 8, 1550e-9)
+GRID_TINY = fl.SamplingGrid(10e9, 16, 8, 1550e-9)
 
 
 class TestSpectrum:

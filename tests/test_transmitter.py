@@ -85,18 +85,18 @@ class TestPrbs:
 
 class TestNrzDrive:
     def test_all_ones_is_flat(self, grid64):
-        bits = fl.BitSequence(np.ones(64, dtype=np.uint8), "const")
+        bits = fl.BitSequence(np.ones(64, dtype=np.uint8))
         drive = fl.nrz_drive(bits, grid64, 0.25)
         np.testing.assert_allclose(drive.samples, 1.0)
 
     def test_all_zeros_is_flat(self, grid64):
-        bits = fl.BitSequence(np.zeros(64, dtype=np.uint8), "const")
+        bits = fl.BitSequence(np.zeros(64, dtype=np.uint8))
         drive = fl.nrz_drive(bits, grid64, 0.25)
         np.testing.assert_allclose(drive.samples, 0.0)
 
     def test_alternating_matches_trapezoid_oracle(self):
-        grid = fl.make_grid(10e9, 16, 32, 1550e-9)
-        bits = fl.BitSequence(np.tile([0, 1], 8).astype(np.uint8), "alt")
+        grid = fl.SamplingGrid(10e9, 16, 32, 1550e-9)
+        bits = fl.BitSequence(np.tile([0, 1], 8).astype(np.uint8))
         drive = fl.nrz_drive(bits, grid, 0.25)
 
         # independent construction: explicit breakpoints + linear interpolation
@@ -129,13 +129,13 @@ class TestNrzDrive:
         np.testing.assert_allclose(centers, expected, atol=1e-12)
 
     def test_bit_count_mismatch(self, grid64):
-        bits = fl.BitSequence(np.ones(32, dtype=np.uint8), "const")
+        bits = fl.BitSequence(np.ones(32, dtype=np.uint8))
         with pytest.raises(ValueError, match="bits"):
             fl.nrz_drive(bits, grid64)
 
     @pytest.mark.parametrize("rt", [0.0, 0.5, 0.7, -0.1])
     def test_bad_rise_time(self, grid64, rt):
-        bits = fl.BitSequence(np.ones(64, dtype=np.uint8), "const")
+        bits = fl.BitSequence(np.ones(64, dtype=np.uint8))
         with pytest.raises(ValueError, match="rise_time"):
             fl.nrz_drive(bits, grid64, rt)
 
@@ -168,7 +168,7 @@ class TestCwLaser:
     def test_lorentzian_linewidth(self):
         # averaged periodogram over 100 independent seeds; interpolated
         # half-max crossings estimate the FWHM
-        grid = fl.make_grid(10e9, 4096, 8, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 4096, 8, 1550e-9)
         target = 100e6
         acc = np.zeros(grid.n_samples)
         for s in range(100):
@@ -211,7 +211,7 @@ class TestMzModulate:
     @settings(max_examples=30, deadline=None)
     @given(level=st.floats(0.0, 1.0), er=st.floats(3.0, 60.0))
     def test_never_amplifies(self, level, er):
-        grid = fl.make_grid(10e9, 16, 8, 1550e-9)
+        grid = fl.SamplingGrid(10e9, 16, 8, 1550e-9)
         laser = fl.cw_laser(grid, 1e-3, 0.0)
         drive = fl.ElectricalWaveform(np.full(grid.n_samples, level), grid)
         out = fl.mz_modulate(laser, drive, er)
