@@ -8,6 +8,7 @@ file yields the full default configuration.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Callable
 
 from .link import SCHEMES, LinkConfig
@@ -177,9 +178,13 @@ def parse_config(text: str) -> LinkConfig:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from None
         if isinstance(path, tuple):
             updates.update(zip(path, value))
-        elif power:
-            updates[path] = value * 10.0**power if power > 0 else value / 10.0**-power
         else:
+            if power:
+                value = value * 10.0**power if power > 0 else value / 10.0**-power
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"line {lineno}: key {key!r}: {value_text} overflows in SI units"
+                    )
             updates[path] = value
         lines[key] = lineno
 

@@ -32,10 +32,13 @@ __all__ = [
 
 C_LIGHT = 2.99792458e8  # m/s
 PLANCK = 6.62607015e-34  # J s
+# Most split steps one span may take: 20x the 4,800 of the finest reference
+# (0.025 km steps over 120 km), so a too-fine step fails instead of hanging.
+MAX_STEPS_PER_SPAN = 100_000
 
 
 class PropagationError(RuntimeError):
-    """The split-step integration produced a non-finite field."""
+    """The split-step integration produced a non-finite field or stalled."""
 
 
 def d_to_beta2(d_ps_nm_km: float, wavelength_m: float) -> float:
@@ -142,13 +145,15 @@ class SsfmOptions:
         """``"fixed"`` or ``"adaptive"``, as set by ``max_nl_phase_rad``."""
         return "fixed" if self.max_nl_phase_rad is None else "adaptive"
 
-
-def _check_finite(e: np.ndarray, z_m: float, fiber: FiberParams) -> None:
-    if not np.all(np.isfinite(e)):
-        raise PropagationError(
-            f"non-finite field at z = {z_m / 1e3:.3f} km in {fiber.label}; "
-            "the step size is too large for this launch power"
-        )
+    def fixed_steps(self, fiber: FiberParams) -> int:
+        """Number of equal fixed-mode steps for ``fiber``, at most ``MAX_STEPS_PER_SPAN``."""
+        n = max(1.0, np.ceil(fiber.length_km / self.step_km - 1e-12))
+        if not n <= MAX_STEPS_PER_SPAN:
+            raise ValueError(
+                f"{fiber.label} of {fiber.length_km} km at step_km = {self.step_km} needs "
+                f"{n:.3g} steps, more than the {MAX_STEPS_PER_SPAN} allowed per span"
+            )
+        return int(n)
 
 
 def propagate_fiber(
@@ -162,7 +167,8 @@ def propagate_fiber(
     domain), a full Kerr phase rotation, and another half linear step; the
     trailing and leading half steps of consecutive steps are merged into one
     operator, rebuilt only when the step size (see :class:`SsfmOptions`)
-    changes. The total distance integrated is ``fiber.length_km``.
+    changes. The total distance integrated is ``fiber.length_km``. The input
+    field is left untouched; the steps work in place on a copy of it.
     """
     if options is None:
         options = SsfmOptions()
@@ -177,12 +183,15 @@ def propagate_fiber(
     omega = grid.omega()
     # Per-meter exponent of the linear (frequency-domain) operator.
     lin_rate = 0.5j * beta2_si * omega**2 - 0.5 * alpha_si
-    fixed_dz = length_m / max(1, int(np.ceil(fiber.length_km / options.step_km - 1e-12)))
     max_phase = options.max_nl_phase_rad
+    if max_phase is None:
+        fixed_dz = length_m / options.fixed_steps(fiber)
 
     e = field.samples.copy()
     power = np.abs(e) ** 2
-    remaining, dz, half, full = length_m, 0.0, None, None
+    phase = np.empty_like(power)
+    rotation = np.empty_like(e)
+    remaining, dz, half, full, steps = length_m, 0.0, None, None, 0
     while True:
         if max_phase is None:
             next_dz = fixed_dz
@@ -192,19 +201,40 @@ def propagate_fiber(
         # Fixed mode stops after n steps despite rounding; adaptive at 0 left.
         if remaining <= next_dz / 2.0:
             break
+        if remaining - next_dz == remaining or steps == MAX_STEPS_PER_SPAN:
+            raise PropagationError(
+                f"adaptive steps stall at z = {(length_m - remaining) / 1e3:.3f} km in "
+                f"{fiber.label}: step {next_dz:.3g} m after {steps} of at most "
+                f"{MAX_STEPS_PER_SPAN}; max_nl_phase_rad is too small for gamma * power"
+            )
         if next_dz != dz:
             next_half = np.exp(lin_rate * (next_dz / 2.0))
             op, full = next_half if half is None else half * next_half, None
             dz, half = next_dz, next_half
         elif full is None:
             op = full = half * half
-        e = np.fft.ifft(np.fft.fft(e) * op)
-        power = np.abs(e) ** 2
-        e *= np.exp(1j * gamma_si * dz * power)
+        np.fft.fft(e, out=e)
+        e *= op
+        np.fft.ifft(e, out=e)
+        np.abs(e, out=power)
+        np.square(power, out=power)
+        np.multiply(gamma_si * dz, power, out=phase)
         remaining -= dz
-        _check_finite(e, length_m - remaining, fiber)
-    e = np.fft.ifft(np.fft.fft(e) * half)
-    _check_finite(e, length_m, fiber)
+        steps += 1
+        # phase >= 0 is non-finite exactly where the rotated field would be.
+        if not np.isfinite(np.max(phase)):
+            raise PropagationError(
+                f"non-finite field at z = {(length_m - remaining) / 1e3:.3f} km in "
+                f"{fiber.label}; the step size is too large for this launch power"
+            )
+        np.cos(phase, out=rotation.real)
+        np.sin(phase, out=rotation.imag)
+        e *= rotation
+    # The last Kerr step left |e|^2 finite and already applied this half (inside
+    # op), and |half| <= 1, so the closing half step cannot make e non-finite.
+    np.fft.fft(e, out=e)
+    e *= half
+    np.fft.ifft(e, out=e)
     return OpticalField(e, grid)
 
 

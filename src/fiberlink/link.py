@@ -169,8 +169,9 @@ class LinkConfig:
     """Complete description of one link simulation.
 
     Construction checks what the modules must agree on: the topology, the
-    sampling grid, the receive filter against the grid's Nyquist frequency,
-    and enough bits of each value for ``estimate_q``.
+    fixed-mode step count of each span, the sampling grid, the receive filter
+    against the grid's Nyquist frequency, and enough bits of each value for
+    ``estimate_q``.
     """
 
     scheme: str = "symmetric"
@@ -185,7 +186,10 @@ class LinkConfig:
     sim: SimSettings = field(default_factory=SimSettings)
 
     def __post_init__(self) -> None:
-        self.resolve_topology()
+        topology = self.resolve_topology()
+        if self.sim.ssfm.max_nl_phase_rad is None:
+            for fiber in topology.fibers():
+                self.sim.ssfm.fixed_steps(fiber)
         grid = self.grid()
         if not self.rx.bessel_bandwidth < 0.5 * grid.sample_rate:
             raise ValueError(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import signal
 import subprocess
 import sys
 
@@ -25,6 +26,24 @@ def cfg_file(tmp_path):
     path = tmp_path / "link.cfg"
     path.write_text(SMALL_CFG + "\n", encoding="utf-8")
     return str(path)
+
+
+class Expired(BaseException):
+    """Raised by ``deadline``; a BaseException, so ``main`` cannot turn it into exit 1."""
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test still running after 2 s instead of letting it hang."""
+
+    def expire(signum, frame):
+        raise Expired("still running after 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def read_rows(path):
@@ -112,6 +131,23 @@ class TestRun:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("text", "code", "message"),
+        [
+            ("sim.step_km = 1e-9", 2, "more than the 100000 allowed per span"),
+            ("sim.max_nl_phase_rad = 1e-300", 1, "adaptive steps stall"),
+            ("sim.max_nl_phase_rad = 0.05\nsmf.gamma_per_w_km = 1e300", 1, "adaptive steps stall"),
+        ],
+        ids=["fixed_tiny_step", "adaptive_tiny_phase", "adaptive_huge_gamma"],
+    )
+    def test_step_count_runaway_fails_fast(self, tmp_path, capsys, deadline, text, code, message):
+        cfg = tmp_path / "steps.cfg"
+        cfg.write_text(f"sim.n_bits = 64\nsim.samples_per_bit = 8\n{text}\n", encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == code
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "result.csv").exists()
 
 

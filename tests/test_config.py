@@ -209,6 +209,14 @@ class TestParseErrors:
         with pytest.raises(fl.ConfigError, match="line 3: sim.step_km and sim.max_nl_phase_rad are mutually exclusive"):
             fl.parse_config(text)
 
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("tx.bit_rate_gbps", "1e300"), ("tx.linewidth_mhz", "1e305"), ("rx.bessel_bw_ghz", "1e300")],
+    )
+    def test_unit_scaling_overflow_names_key_and_line(self, key, value):
+        with pytest.raises(fl.ConfigError, match=rf"line 2: key '{key}': {value} overflows in SI units"):
+            fl.parse_config(f"sim.seed = 1\n{key} = {value}")
+
     def test_adaptive_alone_is_fine(self):
         cfg = fl.parse_config("sim.max_nl_phase_rad = 0.01")
         assert cfg.sim.ssfm.mode == "adaptive"
@@ -245,6 +253,12 @@ class TestValidationErrors:
     def test_non_finite_dispersion_rejected(self):
         with pytest.raises(fl.ConfigError, match="dispersion"):
             fl.parse_config("smf.dispersion_ps_nm_km = nan")
+
+    def test_fixed_step_count_capped(self):
+        with pytest.raises(fl.ConfigError, match="more than the 100000 allowed per span"):
+            fl.parse_config("sim.step_km = 1e-9")
+        # the 0.025 km reference run stays admitted
+        assert fl.parse_config("sim.step_km = 0.025").sim.ssfm.fixed_steps(fl.LinkConfig().smf) == 4800
 
     def test_config_error_is_value_error(self):
         assert issubclass(fl.ConfigError, ValueError)

@@ -28,6 +28,50 @@ def rms_width(field):
     return float(np.sqrt(((t - mu) ** 2 * w).sum()))
 
 
+def allocating_ssfm(field, fiber, options):
+    """The split-step loop written with a fresh array for every operation."""
+    grid = field.grid
+    length_m = fiber.length_km * 1e3
+    beta2_si = fl.d_to_beta2(fiber.dispersion_ps_nm_km, grid.center_wavelength) * 1e-27
+    alpha_si = fl.loss_db_to_alpha(fiber.loss_db_km) * 1e-3
+    gamma_si = fiber.gamma_per_w_km * 1e-3
+    lin_rate = 0.5j * beta2_si * grid.omega() ** 2 - 0.5 * alpha_si
+    n_fixed = max(1, int(np.ceil(fiber.length_km / options.step_km - 1e-12)))
+    e = field.samples
+    power = np.abs(e) ** 2
+    remaining, dz, half = length_m, 0.0, None
+    while True:
+        if options.max_nl_phase_rad is None:
+            next_dz = length_m / n_fixed
+        else:
+            kerr_rate = gamma_si * float(np.max(power))
+            next_dz = min(remaining, options.max_nl_phase_rad / kerr_rate) if kerr_rate else remaining
+        if remaining <= next_dz / 2.0:
+            break
+        if next_dz != dz:
+            next_half = np.exp(lin_rate * (next_dz / 2.0))
+            op = next_half if half is None else half * next_half
+            dz, half = next_dz, next_half
+        else:
+            op = half * half
+        e = np.fft.ifft(np.fft.fft(e) * op)
+        power = np.abs(e) ** 2
+        e = e * np.exp(1j * gamma_si * dz * power)
+        remaining -= dz
+    return np.fft.ifft(np.fft.fft(e) * half)
+
+
+def cw_field(p0=0.05):
+    return fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(p0), dtype=complex), GRID64)
+
+
+# CW on a lossless, dispersionless span keeps the peak power constant, so both
+# modes take ceil(10 / 0.3) = ceil(gamma P L / phi) = ceil(1 / 0.03) = 34 steps.
+CW_SPAN = fl.FiberParams(10.0, 0.0, 0.0, 2.0)
+CW_STEPS = 34
+CW_OPTIONS = [fl.SsfmOptions(step_km=0.3), fl.SsfmOptions(max_nl_phase_rad=0.03)]
+
+
 class TestConversions:
     def test_beta2_frozen_values(self):
         assert fl.d_to_beta2(16.0, 1550e-9) == pytest.approx(BETA2_D16, rel=1e-12)
@@ -100,6 +144,20 @@ class TestLinearPropagation:
         out = fl.propagate_fiber(pulse, fl.FiberParams(0.0, 16.0, 0.2, 1.3))
         np.testing.assert_array_equal(out.samples, pulse.samples)
         assert out is not pulse
+
+    @pytest.mark.parametrize(
+        ("length_km", "max_phase"),
+        [(10.0, None), (10.0, 0.05), (0.0, None)],
+        ids=["fixed", "adaptive", "zero_length"],
+    )
+    def test_input_field_untouched(self, length_km, max_phase):
+        # sweep resumes later rows from saved prefix fields, so they must not change
+        pulse = gaussian(GRID64, peak_w=0.1)
+        before = pulse.samples.copy()
+        fiber = fl.FiberParams(length_km, 16.0, 0.2, 1.3)
+        out = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(max_nl_phase_rad=max_phase))
+        np.testing.assert_array_equal(pulse.samples, before)
+        assert not np.shares_memory(out.samples, pulse.samples)
 
     @pytest.mark.parametrize("z_frac", [0.5, 1.0, 2.0])
     def test_gaussian_broadening_oracle(self, z_frac):
@@ -234,19 +292,24 @@ class TestNonlinearPropagation:
         err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
         assert err < 5e-4
 
-    @pytest.mark.parametrize(
-        ("options", "n_steps"),
-        [
-            (fl.SsfmOptions(step_km=0.3), 34),  # ceil(10 / 0.3)
-            (fl.SsfmOptions(max_nl_phase_rad=0.03), 34),  # ceil(gamma P L / phi) = ceil(1 / 0.03)
-        ],
-        ids=["fixed", "adaptive"],
-    )
-    def test_one_fft_pair_per_step(self, monkeypatch, options, n_steps):
-        # CW on a lossless, dispersionless span keeps the peak power constant
-        p0 = 0.05
-        field = fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(p0), dtype=complex), GRID64)
-        fiber = fl.FiberParams(10.0, 0.0, 0.0, 2.0)
+    @pytest.mark.parametrize("max_phase", [None, 0.05], ids=["fixed", "adaptive"])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_allocating_stepper(self, max_phase, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10 ** rng.uniform(-2.5, -1.0)
+        samples = scale * (rng.normal(size=GRID64.n_samples) + 1j * rng.normal(size=GRID64.n_samples))
+        field = fl.OpticalField(samples, GRID64)
+        fiber = fl.FiberParams(
+            rng.uniform(1.0, 20.0), rng.choice([-1, 1]) * rng.uniform(1.0, 100.0),
+            rng.uniform(0.1, 0.6), rng.uniform(0.5, 3.0),
+        )
+        options = fl.SsfmOptions(step_km=0.5, max_nl_phase_rad=max_phase)
+        out = fl.propagate_fiber(field, fiber, options)
+        assert np.array_equal(out.samples, allocating_ssfm(field, fiber, options))
+
+    @pytest.mark.parametrize("options", CW_OPTIONS, ids=["fixed", "adaptive"])
+    def test_one_fft_pair_per_step(self, monkeypatch, options):
         calls = []
         fft = np.fft.fft
 
@@ -255,8 +318,29 @@ class TestNonlinearPropagation:
             return fft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counting_fft)
-        fl.propagate_fiber(field, fiber, options)
-        assert len(calls) == n_steps + 1
+        fl.propagate_fiber(cw_field(), CW_SPAN, options)
+        assert len(calls) == CW_STEPS + 1
+
+    @pytest.mark.parametrize("options", CW_OPTIONS, ids=["fixed", "adaptive"])
+    def test_step_cap(self, monkeypatch, options):
+        monkeypatch.setattr(fl.fiber, "MAX_STEPS_PER_SPAN", CW_STEPS)
+        fl.propagate_fiber(cw_field(), CW_SPAN, options)
+        monkeypatch.setattr(fl.fiber, "MAX_STEPS_PER_SPAN", CW_STEPS - 1)
+        with pytest.raises(ValueError if options.mode == "fixed" else fl.PropagationError):
+            fl.propagate_fiber(cw_field(), CW_SPAN, options)
+
+    def test_fixed_step_cap_checked_before_stepping(self):
+        fiber = fl.FiberParams(120.0, 16.0, 0.2, 1.3)
+        with pytest.raises(ValueError, match=r"SMF of 120\.0 km at step_km = 1e-09 needs 1\.2e\+11 steps"):
+            fl.propagate_fiber(cw_field(), fiber, fl.SsfmOptions(step_km=1e-9))
+
+    @pytest.mark.parametrize(
+        ("max_phase", "gamma"), [(1e-300, 1.3), (0.05, 1e300)], ids=["tiny_phase", "huge_gamma"]
+    )
+    def test_adaptive_step_that_does_not_advance_aborts(self, max_phase, gamma):
+        fiber = fl.FiberParams(10.0, 16.0, 0.2, gamma)
+        with pytest.raises(fl.PropagationError, match="stall at z = 0.000 km in SMF"):
+            fl.propagate_fiber(cw_field(), fiber, fl.SsfmOptions(max_nl_phase_rad=max_phase))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -264,7 +348,7 @@ class TestNonlinearPropagation:
         # a nonlinear phase that overflows to inf makes the field non-finite
         pulse = gaussian(GRID64, peak_w=100.0)
         fiber = fl.FiberParams(1.0, 0.0, 0.0, 1e308)
-        with pytest.raises(fl.PropagationError, match="km"):
+        with pytest.raises(fl.PropagationError, match=r"non-finite field at z = 0\.100 km in SMF"):
             fl.propagate_fiber(pulse, fiber)
 
 
