@@ -188,6 +188,13 @@ def propagate_fiber(
         fixed_dz = length_m / options.fixed_steps(fiber)
 
     e = field.samples.copy()
+    # numpy's FFT allocates an n-sample scratch array on every transform, and
+    # glibc serves blocks above its mmap threshold (128 KiB at start-up) from
+    # fresh mmaps that page-fault in full, step after step. Freeing a larger
+    # mmapped block raises the threshold to its size (glibc ignores blocks over
+    # 32 MiB), so the scratch and this call's own buffers, about eight field
+    # sizes, are reused from the heap instead. The block is never touched.
+    np.empty(min(8 * e.nbytes, 16 << 20), np.uint8)
     power = np.abs(e) ** 2
     phase = np.empty_like(power)
     rotation = np.empty_like(e)

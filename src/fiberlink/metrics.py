@@ -7,10 +7,10 @@ to the nearest bit boundary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .signals import ElectricalWaveform, SamplingGrid
 from .transmitter import BitSequence
@@ -37,10 +37,9 @@ MIN_RAIL_BITS = 8  # fewest bits of each value estimate_q takes rail statistics 
 def ber_from_q(q_linear: float) -> float:
     """Gaussian-tail bit error rate for a linear Q, clamped to [1e-40, 0.5]."""
     q = float(q_linear)
-    if not np.isfinite(q) or q < 0.0:
+    if not math.isfinite(q) or q < 0.0:
         raise ValueError(f"q_linear must be finite and >= 0, got {q_linear}")
-    ber = 0.5 * erfc(q / np.sqrt(2.0))
-    return float(min(0.5, max(BER_FLOOR, ber)))
+    return min(0.5, max(BER_FLOOR, 0.5 * math.erfc(q / math.sqrt(2.0))))
 
 
 def _q_db(q_linear: float) -> float:

@@ -8,16 +8,22 @@ beyond the Bessel group delay.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import bessel
 
 from .signals import ElectricalWaveform, OpticalField
 
 __all__ = ["RxConfig", "photodetect", "bessel_lowpass", "receive"]
 
 ELECTRON_CHARGE = 1.602176634e-19  # C
+MAX_BESSEL_ORDER = 10  # highest Bessel filter order accepted
+
+
+def _check_bessel_order(name: str, order: int) -> None:
+    if not (1 <= order <= MAX_BESSEL_ORDER):
+        raise ValueError(f"{name} must be in 1..{MAX_BESSEL_ORDER}, got {order}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,8 +41,7 @@ class RxConfig:
             raise ValueError(f"responsivity must be positive, got {self.responsivity}")
         if self.thermal_noise_psd < 0 or not np.isfinite(self.thermal_noise_psd):
             raise ValueError(f"thermal_noise_psd must be >= 0, got {self.thermal_noise_psd}")
-        if not (1 <= self.bessel_order <= 10):
-            raise ValueError(f"bessel_order must be in 1..10, got {self.bessel_order}")
+        _check_bessel_order("bessel_order", self.bessel_order)
         if not (self.bessel_bandwidth > 0 and np.isfinite(self.bessel_bandwidth)):
             raise ValueError(f"bessel_bandwidth must be positive, got {self.bessel_bandwidth}")
 
@@ -71,12 +76,27 @@ def photodetect(
 
 
 def _bessel_response(order: int, f_norm: np.ndarray) -> np.ndarray:
-    """Complex response of the analog Bessel prototype at f/f_3dB = f_norm."""
-    b, a = bessel(order, 1.0, btype="low", analog=True, norm="mag")
-    s = 1j * f_norm
-    h = np.polyval(b, s) / np.polyval(a, s)
-    # Normalize so DC gain is exactly 1 (b/a constant terms already match).
-    return h / (b[-1] / a[-1])
+    """Complex response of the analog Bessel prototype at f/f_3dB = f_norm.
+
+    H(s) = a_0 / sum_k a_k (w_c s)^k, with the reverse Bessel polynomial
+    a_k = (2n-k)! / (2^(n-k) k! (n-k)!) and w_c the corner where
+    |H(j w_c)|^2 = 1/2, found by bisection (|H| falls monotonically).
+    """
+    n = order
+    a = [
+        math.factorial(2 * n - k) // (2 ** (n - k) * math.factorial(k) * math.factorial(n - k))
+        for k in range(n + 1)
+    ]
+
+    def below_corner(w: float) -> bool:
+        return abs(sum(c * (1j * w) ** k for k, c in enumerate(a))) ** 2 < 2 * a[0] ** 2
+
+    lo, hi = 0.0, 1.0
+    while below_corner(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if below_corner(mid) else (lo, mid)
+    return a[0] / np.polyval([c * hi**k for k, c in enumerate(a)][::-1], 1j * f_norm)
 
 
 def bessel_lowpass(
@@ -88,8 +108,7 @@ def bessel_lowpass(
     and 1/sqrt(2) at ``bandwidth``. Requires ``bandwidth`` below the grid
     Nyquist frequency.
     """
-    if not (1 <= order <= 10):
-        raise ValueError(f"order must be in 1..10, got {order}")
+    _check_bessel_order("order", order)
     grid = wave.grid
     nyquist = 0.5 * grid.sample_rate
     if not (0 < bandwidth < nyquist):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erfc
 
 import fiberlink as fl
 from fiberlink.metrics import BER_FLOOR, Q_CAP
@@ -21,6 +22,15 @@ class TestBerFromQ:
     def test_reference_point(self):
         # high-precision oracle: 0.5*erfc(5/sqrt(2)) evaluated at 30 digits
         assert fl.ber_from_q(5.0) == pytest.approx(2.8665157187919391e-07, rel=1e-12)
+
+    def test_matches_scipy_erfc(self):
+        # scipy.special is the independent oracle for the stdlib erfc
+        q = np.linspace(0.0, 14.0, 1401)
+        expected = 0.5 * erfc(q / np.sqrt(2.0))
+        ber = np.array([fl.ber_from_q(x) for x in q])
+        above = expected > BER_FLOOR
+        np.testing.assert_allclose(ber[above], expected[above], rtol=1e-13, atol=0)
+        assert np.all(ber[~above] == BER_FLOOR)
 
     def test_floor_clamp(self):
         assert fl.ber_from_q(50.0) == BER_FLOOR

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import bessel, lti, step
 
 import fiberlink as fl
-from fiberlink.receiver import ELECTRON_CHARGE, _bessel_response
+from fiberlink.receiver import ELECTRON_CHARGE, MAX_BESSEL_ORDER, _bessel_response
 
 GRID = fl.SamplingGrid(10e9, 64, 32, 1550e-9)
 NOISELESS = fl.RxConfig(thermal_noise_psd=0.0, shot_noise=False)
@@ -62,14 +62,22 @@ class TestPhotodetect:
 
 class TestBesselLowpass:
     def test_dc_gain_exact(self):
-        for order in range(1, 11):
+        for order in range(1, MAX_BESSEL_ORDER + 1):
             h0 = _bessel_response(order, np.array([0.0]))[0]
             assert abs(abs(h0) - 1.0) < 1e-10
 
     def test_half_power_at_bandwidth(self):
-        for order in range(1, 11):
+        for order in range(1, MAX_BESSEL_ORDER + 1):
             h1 = _bessel_response(order, np.array([1.0]))[0]
             assert abs(h1) ** 2 == pytest.approx(0.5, rel=0.01)
+
+    def test_matches_scipy_prototype(self):
+        # scipy.signal is the independent oracle for the closed-form polynomial
+        f = np.linspace(0.0, 20.0, 2001)
+        for order in range(1, MAX_BESSEL_ORDER + 1):
+            b, a = bessel(order, 1.0, btype="low", analog=True, norm="mag")
+            expected = np.polyval(b, 1j * f) / np.polyval(a, 1j * f)
+            np.testing.assert_allclose(_bessel_response(order, f), expected, rtol=0, atol=1e-13)
 
     def test_magnitude_monotone_decreasing(self):
         f = np.linspace(0.0, 6.0, 400)
@@ -126,7 +134,7 @@ class TestBesselLowpass:
         with pytest.raises(ValueError, match="order"):
             fl.bessel_lowpass(wave, 0, 8e9)
         with pytest.raises(ValueError, match="order"):
-            fl.bessel_lowpass(wave, 11, 8e9)
+            fl.bessel_lowpass(wave, MAX_BESSEL_ORDER + 1, 8e9)
 
 
 class TestReceive:
