@@ -9,9 +9,9 @@ under-compensated variant.
 Usage:
     python3 scripts/compensation_sweep.py [--quick] [--seed N]
 
-``--quick`` drops to a 256-bit grid and a coarser integrator step for a
+``--quick`` drops to a 256-bit grid and fixed 0.5 km integrator steps for a
 fast smoke run; the default settings match the package defaults (1024 bits,
-32 samples/bit, 0.1 km steps) and take a few minutes.
+32 samples/bit, adaptive local-error steps) and take a few seconds.
 """
 from __future__ import annotations
 

@@ -127,7 +127,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str | tuple[str, ...], int]] = {
     "sim.n_bits": (_positive(_parse_int), "sim.n_bits", 0),
     "sim.samples_per_bit": (_in_set(ALLOWED_SAMPLES_PER_BIT), "sim.samples_per_bit", 0),
     "sim.step_km": (_positive(_parse_float), "sim.ssfm.step_km", 0),
-    "sim.max_nl_phase_rad": (_positive(_parse_float), "sim.ssfm.max_nl_phase_rad", 0),
+    "sim.local_error": (_parse_float, "sim.ssfm.local_error", 0),
     "sim.seed": (_non_negative(_parse_int), "sim.seed", 0),
     "sim.skip_bits": (_non_negative(_parse_int), "sim.skip_bits", 0),
 }
@@ -188,11 +188,9 @@ def parse_config(text: str) -> LinkConfig:
             updates[path] = value
         lines[key] = lineno
 
-    if "sim.max_nl_phase_rad" in lines and "sim.step_km" in lines:
-        lineno = max(lines["sim.step_km"], lines["sim.max_nl_phase_rad"])
-        raise ConfigError(
-            f"line {lineno}: sim.step_km and sim.max_nl_phase_rad are mutually exclusive"
-        )
+    if "sim.local_error" in lines and "sim.step_km" in lines:
+        lineno = max(lines["sim.step_km"], lines["sim.local_error"])
+        raise ConfigError(f"line {lineno}: sim.step_km and sim.local_error are mutually exclusive")
 
     # The DCF side a scheme does not use defaults to zero length, the other
     # to dcf.length_km.

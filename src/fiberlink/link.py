@@ -187,7 +187,7 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         topology = self.resolve_topology()
-        if self.sim.ssfm.max_nl_phase_rad is None:
+        if self.sim.ssfm.step_km is not None:
             for fiber in topology.fibers():
                 self.sim.ssfm.fixed_steps(fiber)
         grid = self.grid()

@@ -32,6 +32,15 @@ SMALL_CFG = "\n".join(
 )
 
 
+# q_db of the criterion-3 rows at 0.1 km fixed steps, the reference oracle,
+# recorded before adaptive steps became the default. The first row's link is
+# the default one, so it is also the q_db of `fiberlink run` with no config.
+FIXED_ORACLE_Q_DB = (46.65666737165141, 22.289100358432925, 20.038812099814812, 11.501105090927073)
+Q_TOL_DB = 0.01
+DESK_PRE_KM = (24.0, 30.0, 30.0, 35.0)
+DESK_POST_KM = (24.0, 24.0, 30.0, 35.0)
+
+
 def announce(tag: str) -> None:
     print(f"ACCEPTANCE {tag}: PASS")
 
@@ -92,12 +101,7 @@ def test_criterion_2_residual_dispersion_arithmetic():
 
 
 def test_criterion_3_sweep_ordering_at_desk_scale():
-    spec = fl.SweepSpec(
-        pre_lengths_km=(24.0, 30.0, 30.0, 35.0),
-        post_lengths_km=(24.0, 24.0, 30.0, 35.0),
-        config=fl.LinkConfig(),
-        pairing="zip",
-    )
+    spec = fl.SweepSpec(DESK_PRE_KM, DESK_POST_KM, config=fl.LinkConfig(), pairing="zip")
     start = time.perf_counter()
     rows = fl.sweep(spec)
     elapsed = time.perf_counter() - start
@@ -114,6 +118,14 @@ def test_criterion_3_sweep_ordering_at_desk_scale():
         "C3 q_db strictly decreasing "
         f"({', '.join(f'{q:.2f}' for q in q_db)}), gap {gap:.2f} dB, {elapsed:.0f} s"
     )
+
+
+def test_default_stepping_matches_fixed_oracle():
+    rows = fl.sweep(fl.SweepSpec(DESK_PRE_KM, DESK_POST_KM, config=fl.LinkConfig(), pairing="zip"))
+    errors = [abs(row.q_db - q_ref) for row, q_ref in zip(rows, FIXED_ORACLE_Q_DB, strict=True)]
+    assert max(errors) < Q_TOL_DB, f"|q_db - q_db(0.1 km fixed)| = {errors} dB"
+    assert fl.run_link_full(fl.LinkConfig()).q.q_db == rows[0].q_db
+    announce(f"default stepping within {max(errors):.1e} dB of 0.1 km fixed steps")
 
 
 def test_criterion_4_dispersion_oracle():

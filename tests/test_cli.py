@@ -133,14 +133,23 @@ class TestRun:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "result.csv").exists()
 
+    def test_removed_nonlinear_phase_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nl.cfg"
+        cfg.write_text("sim.max_nl_phase_rad = 0.05\n", encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "line 1: unknown key 'sim.max_nl_phase_rad'" in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
+
     @pytest.mark.parametrize(
         ("text", "code", "message"),
         [
             ("sim.step_km = 1e-9", 2, "more than the 100000 allowed per span"),
-            ("sim.max_nl_phase_rad = 1e-300", 1, "adaptive steps stall"),
-            ("sim.max_nl_phase_rad = 0.05\nsmf.gamma_per_w_km = 1e300", 1, "adaptive steps stall"),
+            ("sim.local_error = 1e-300", 2, "local_error must lie in [1e-08, 0.001]"),
+            ("smf.gamma_per_w_km = 1e300", 1,
+             "element 2 (SMF): adaptive steps stall at z = 0.000 km in SMF"),
         ],
-        ids=["fixed_tiny_step", "adaptive_tiny_phase", "adaptive_huge_gamma"],
+        ids=["fixed_tiny_step", "adaptive_tiny_tolerance", "adaptive_huge_gamma"],
     )
     def test_step_count_runaway_fails_fast(self, tmp_path, capsys, deadline, text, code, message):
         cfg = tmp_path / "steps.cfg"

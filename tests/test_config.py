@@ -51,8 +51,9 @@ class TestDefaults:
         assert cfg.amp.noise_figure_db == 5.0
         assert (cfg.sim.n_bits, cfg.sim.samples_per_bit) == (1024, 32)
         assert (cfg.sim.seed, cfg.sim.skip_bits) == (42, 8)
-        assert cfg.sim.ssfm.mode == "fixed"
-        assert cfg.sim.ssfm.step_km == 0.1
+        assert cfg.sim.ssfm.mode == "adaptive"
+        assert cfg.sim.ssfm.step_km is None
+        assert cfg.sim.ssfm.local_error == 1e-4
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = fl.parse_config(
@@ -205,8 +206,8 @@ class TestParseErrors:
             fl.parse_config("sim.samples_per_bit = 12")
 
     def test_step_and_adaptive_mutually_exclusive(self):
-        text = "sim.step_km = 0.5\nsim.seed = 1\nsim.max_nl_phase_rad = 0.01"
-        with pytest.raises(fl.ConfigError, match="line 3: sim.step_km and sim.max_nl_phase_rad are mutually exclusive"):
+        text = "sim.step_km = 0.5\nsim.seed = 1\nsim.local_error = 1e-5"
+        with pytest.raises(fl.ConfigError, match="line 3: sim.step_km and sim.local_error are mutually exclusive"):
             fl.parse_config(text)
 
     @pytest.mark.parametrize(
@@ -218,9 +219,9 @@ class TestParseErrors:
             fl.parse_config(f"sim.seed = 1\n{key} = {value}")
 
     def test_adaptive_alone_is_fine(self):
-        cfg = fl.parse_config("sim.max_nl_phase_rad = 0.01")
+        cfg = fl.parse_config("sim.local_error = 1e-5")
         assert cfg.sim.ssfm.mode == "adaptive"
-        assert cfg.sim.ssfm.max_nl_phase_rad == 0.01
+        assert cfg.sim.ssfm.local_error == 1e-5
 
 
 class TestValidationErrors:
@@ -259,6 +260,11 @@ class TestValidationErrors:
             fl.parse_config("sim.step_km = 1e-9")
         # the 0.025 km reference run stays admitted
         assert fl.parse_config("sim.step_km = 0.025").sim.ssfm.fixed_steps(fl.LinkConfig().smf) == 4800
+
+    @pytest.mark.parametrize("value", ["1e-300", "9e-9", "0.002", "nan", "-1e-4"])
+    def test_local_error_out_of_range_rejected(self, value):
+        with pytest.raises(fl.ConfigError, match=r"local_error must lie in \[1e-08, 0\.001\]"):
+            fl.parse_config(f"sim.local_error = {value}")
 
     def test_config_error_is_value_error(self):
         assert issubclass(fl.ConfigError, ValueError)

@@ -29,47 +29,75 @@ def rms_width(field):
 
 
 def allocating_ssfm(field, fiber, options):
-    """The split-step loop written with a fresh array for every operation."""
+    """The split-step loops written with a fresh array for every operation."""
     grid = field.grid
     length_m = fiber.length_km * 1e3
     beta2_si = fl.d_to_beta2(fiber.dispersion_ps_nm_km, grid.center_wavelength) * 1e-27
     alpha_si = fl.loss_db_to_alpha(fiber.loss_db_km) * 1e-3
     gamma_si = fiber.gamma_per_w_km * 1e-3
     lin_rate = 0.5j * beta2_si * grid.omega() ** 2 - 0.5 * alpha_si
-    n_fixed = max(1, int(np.ceil(fiber.length_km / options.step_km - 1e-12)))
+
+    def linear(e, op):
+        return np.fft.ifft(np.fft.fft(e) * op)
+
+    def split_step(e, op, dz):
+        e = linear(e, op)
+        return e * np.exp(1j * gamma_si * dz * np.abs(e) ** 2)
+
     e = field.samples
-    power = np.abs(e) ** 2
-    remaining, dz, half = length_m, 0.0, None
-    while True:
-        if options.max_nl_phase_rad is None:
-            next_dz = length_m / n_fixed
-        else:
-            kerr_rate = gamma_si * float(np.max(power))
-            next_dz = min(remaining, options.max_nl_phase_rad / kerr_rate) if kerr_rate else remaining
-        if remaining <= next_dz / 2.0:
-            break
-        if next_dz != dz:
-            next_half = np.exp(lin_rate * (next_dz / 2.0))
-            op = next_half if half is None else half * next_half
-            dz, half = next_dz, next_half
-        else:
-            op = half * half
-        e = np.fft.ifft(np.fft.fft(e) * op)
-        power = np.abs(e) ** 2
-        e = e * np.exp(1j * gamma_si * dz * power)
-        remaining -= dz
-    return np.fft.ifft(np.fft.fft(e) * half)
+    if options.step_km is not None:
+        n = max(1, int(np.ceil(fiber.length_km / options.step_km - 1e-12)))
+        dz = length_m / n
+        half = np.exp(lin_rate * (dz / 2.0))
+        for k in range(n):
+            e = split_step(e, half * half if k else half, dz)
+        return linear(e, half)
+
+    tol, remaining, h = options.local_error, length_m, length_m / 2.0
+    while remaining > 0.0:
+        h = min(h, remaining / 2.0)
+        half = np.exp(lin_rate * (h / 2.0))
+        full = half * half
+        coarse = linear(split_step(e, full, 2.0 * h), full)
+        fine = linear(split_step(split_step(e, half, h), full, h), half)
+        diff = fine - coarse
+        delta = np.sqrt(np.sum(np.abs(diff) ** 2) / np.sum(np.abs(fine) ** 2))
+        if not delta <= 2.0 * tol:
+            h /= 2.0
+            continue
+        e = fine + diff / 3.0
+        remaining -= 2.0 * h
+        if delta > tol:
+            h /= 2.0 ** (1.0 / 3.0)
+        elif delta < tol / 2.0:
+            h *= 2.0 ** (1.0 / 3.0)
+    return e
 
 
 def cw_field(p0=0.05):
     return fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(p0), dtype=complex), GRID64)
 
 
-# CW on a lossless, dispersionless span keeps the peak power constant, so both
-# modes take ceil(10 / 0.3) = ceil(gamma P L / phi) = ceil(1 / 0.03) = 34 steps.
+def count_ffts(monkeypatch):
+    """Count the forward FFTs made from here on; each pairs with one inverse."""
+    calls = []
+    fft = np.fft.fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    return calls
+
+
+# CW on a lossless, dispersionless span: fixed mode takes ceil(10 / 0.3) = 34
+# steps and one closing half step. The local-error estimate is round-off there,
+# so adaptive mode accepts its first trial, over the whole span: a coarse step,
+# two fine ones and a closing linear step after each. Per mode: options, steps
+# or trials counted against MAX_STEPS_PER_SPAN, FFT pairs.
 CW_SPAN = fl.FiberParams(10.0, 0.0, 0.0, 2.0)
-CW_STEPS = 34
-CW_OPTIONS = [fl.SsfmOptions(step_km=0.3), fl.SsfmOptions(max_nl_phase_rad=0.03)]
+CW_CASES = [(fl.SsfmOptions(step_km=0.3), 34, 34 + 1), (fl.SsfmOptions(), 1, 3 + 2)]
 
 
 class TestConversions:
@@ -126,14 +154,15 @@ class TestParamValidation:
     def test_ssfm_options(self):
         with pytest.raises(ValueError):
             fl.SsfmOptions(step_km=0.0)
-        with pytest.raises(ValueError):
-            fl.SsfmOptions(max_nl_phase_rad=-0.1)
-        with pytest.raises(ValueError):
-            fl.SsfmOptions(max_nl_phase_rad=float("nan"))
+        for tol in (-0.1, 0.0, 1e-300, 9.9e-9, 1.01e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"local_error must lie in \[1e-08, 0\.001\]"):
+                fl.SsfmOptions(local_error=tol)
+        assert fl.SsfmOptions(local_error=1e-8).local_error == 1e-8
+        assert fl.SsfmOptions(local_error=1e-3).local_error == 1e-3
 
     def test_ssfm_mode_is_derived(self):
-        assert fl.SsfmOptions().mode == "fixed"
-        assert fl.SsfmOptions(max_nl_phase_rad=0.05).mode == "adaptive"
+        assert fl.SsfmOptions().mode == "adaptive"
+        assert fl.SsfmOptions(step_km=0.1).mode == "fixed"
         with pytest.raises(TypeError):
             fl.SsfmOptions(mode="adaptive")
 
@@ -146,16 +175,16 @@ class TestLinearPropagation:
         assert out is not pulse
 
     @pytest.mark.parametrize(
-        ("length_km", "max_phase"),
-        [(10.0, None), (10.0, 0.05), (0.0, None)],
+        ("length_km", "step_km"),
+        [(10.0, 0.1), (10.0, None), (0.0, 0.1)],
         ids=["fixed", "adaptive", "zero_length"],
     )
-    def test_input_field_untouched(self, length_km, max_phase):
+    def test_input_field_untouched(self, length_km, step_km):
         # sweep resumes later rows from saved prefix fields, so they must not change
         pulse = gaussian(GRID64, peak_w=0.1)
         before = pulse.samples.copy()
         fiber = fl.FiberParams(length_km, 16.0, 0.2, 1.3)
-        out = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(max_nl_phase_rad=max_phase))
+        out = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(step_km=step_km))
         np.testing.assert_array_equal(pulse.samples, before)
         assert not np.shares_memory(out.samples, pulse.samples)
 
@@ -199,12 +228,15 @@ class TestLinearPropagation:
         err = np.linalg.norm(out.samples - field.samples) / np.linalg.norm(field.samples)
         assert err < 1e-6
 
-    def test_adaptive_linear_single_step_exact(self):
-        # with gamma = 0 the adaptive integrator takes the span in one step,
-        # which must match the closed-form frequency-domain operator
+    def test_adaptive_linear_single_step_exact(self, monkeypatch):
+        # with gamma = 0 the coarse and fine steps agree to round-off, so the
+        # adaptive integrator takes the span in one trial, which must match
+        # the closed-form frequency-domain operator
         pulse = gaussian(GRID64)
         fiber = fl.FiberParams(80.0, 16.0, 0.25, 0.0)
-        out = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(max_nl_phase_rad=0.05))
+        ffts = count_ffts(monkeypatch)
+        out = fl.propagate_fiber(pulse, fiber)
+        assert len(ffts) == 5
         omega = GRID64.omega()
         beta2 = fl.d_to_beta2(16.0, 1550e-9) * 1e-27
         alpha = fl.loss_db_to_alpha(0.25) * 1e-3
@@ -222,15 +254,17 @@ class TestNonlinearPropagation:
         samples = scale * (rng.normal(size=GRID64.n_samples) + 1j * rng.normal(size=GRID64.n_samples))
         field = fl.OpticalField(samples, GRID64)
         fiber = fl.FiberParams(120.0, 16.0, 0.0, 1.3)
-        out = fl.propagate_fiber(field, fiber, fl.SsfmOptions(step_km=1.0))
+        # adaptive steps: the extrapolation (4 u_f - u_c) / 3 is not unitary, but
+        # it adds only 4 delta^2 / 9 of energy per trial (criterion 5 checks fixed steps)
+        out = fl.propagate_fiber(field, fiber)
         assert fl.energy(out) == pytest.approx(fl.energy(field), rel=1e-6)
 
-    @pytest.mark.parametrize("max_phase", [None, 0.05], ids=["fixed", "adaptive"])
-    def test_spm_only_pure_phase(self, max_phase):
+    @pytest.mark.parametrize("step_km", [0.1, None], ids=["fixed", "adaptive"])
+    def test_spm_only_pure_phase(self, step_km):
         p0 = 0.05
         field = fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(p0), dtype=complex), GRID64)
         fiber = fl.FiberParams(10.0, 0.0, 0.0, 2.0)
-        out = fl.propagate_fiber(field, fiber, fl.SsfmOptions(max_nl_phase_rad=max_phase))
+        out = fl.propagate_fiber(field, fiber, fl.SsfmOptions(step_km=step_km))
         expected_phase = 2.0e-3 * p0 * 10e3  # gamma[1/(W m)] * P * L[m]
         phases = np.angle(out.samples * np.conj(field.samples))
         np.testing.assert_allclose(phases, expected_phase, atol=1e-4)
@@ -276,26 +310,25 @@ class TestNonlinearPropagation:
         pulse = gaussian(GRID64, t0, p0)
         fiber = fl.FiberParams(30.0, 16.0, 0.0, gamma)
         fine = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(step_km=1.0 / 64.0))
-        adaptive = fl.propagate_fiber(
-            pulse, fiber, fl.SsfmOptions(max_nl_phase_rad=0.005)
-        )
-        err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
-        assert err < 0.02
+        for tol in (1e-3, 1e-4):
+            adaptive = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(local_error=tol))
+            err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
+            assert err < tol
 
     def test_adaptive_tracks_fixed_on_lossy_span(self):
-        # loss shrinks the peak power, so every adaptive step differs in size
-        # and the merged half-step operators change from step to step
+        # loss shrinks the power, so the accepted steps grow along the span
         pulse = gaussian(GRID64, peak_w=0.01)
         fiber = fl.FiberParams(80.0, 16.0, 0.2, 1.3)
         fine = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(step_km=1.0 / 64.0))
-        adaptive = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(max_nl_phase_rad=0.005))
-        err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
-        assert err < 5e-4
+        for tol in (1e-3, 1e-4):
+            adaptive = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(local_error=tol))
+            err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
+            assert err < tol
 
-    @pytest.mark.parametrize("max_phase", [None, 0.05], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("step_km", [0.5, None], ids=["fixed", "adaptive"])
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_bit_identical_to_allocating_stepper(self, max_phase, seed):
+    def test_bit_identical_to_allocating_stepper(self, step_km, seed):
         rng = np.random.default_rng(seed)
         scale = 10 ** rng.uniform(-2.5, -1.0)
         samples = scale * (rng.normal(size=GRID64.n_samples) + 1j * rng.normal(size=GRID64.n_samples))
@@ -304,28 +337,22 @@ class TestNonlinearPropagation:
             rng.uniform(1.0, 20.0), rng.choice([-1, 1]) * rng.uniform(1.0, 100.0),
             rng.uniform(0.1, 0.6), rng.uniform(0.5, 3.0),
         )
-        options = fl.SsfmOptions(step_km=0.5, max_nl_phase_rad=max_phase)
+        options = fl.SsfmOptions(step_km=step_km)
         out = fl.propagate_fiber(field, fiber, options)
         assert np.array_equal(out.samples, allocating_ssfm(field, fiber, options))
 
-    @pytest.mark.parametrize("options", CW_OPTIONS, ids=["fixed", "adaptive"])
-    def test_one_fft_pair_per_step(self, monkeypatch, options):
-        calls = []
-        fft = np.fft.fft
-
-        def counting_fft(*args, **kwargs):
-            calls.append(1)
-            return fft(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft", counting_fft)
+    @pytest.mark.parametrize(("options", "steps", "fft_pairs"), CW_CASES, ids=["fixed", "adaptive"])
+    def test_one_fft_pair_per_step(self, monkeypatch, options, steps, fft_pairs):
+        # one pair per split step and one per closing linear step
+        ffts = count_ffts(monkeypatch)
         fl.propagate_fiber(cw_field(), CW_SPAN, options)
-        assert len(calls) == CW_STEPS + 1
+        assert len(ffts) == fft_pairs
 
-    @pytest.mark.parametrize("options", CW_OPTIONS, ids=["fixed", "adaptive"])
-    def test_step_cap(self, monkeypatch, options):
-        monkeypatch.setattr(fl.fiber, "MAX_STEPS_PER_SPAN", CW_STEPS)
+    @pytest.mark.parametrize(("options", "steps", "fft_pairs"), CW_CASES, ids=["fixed", "adaptive"])
+    def test_step_cap(self, monkeypatch, options, steps, fft_pairs):
+        monkeypatch.setattr(fl.fiber, "MAX_STEPS_PER_SPAN", steps)
         fl.propagate_fiber(cw_field(), CW_SPAN, options)
-        monkeypatch.setattr(fl.fiber, "MAX_STEPS_PER_SPAN", CW_STEPS - 1)
+        monkeypatch.setattr(fl.fiber, "MAX_STEPS_PER_SPAN", steps - 1)
         with pytest.raises(ValueError if options.mode == "fixed" else fl.PropagationError):
             fl.propagate_fiber(cw_field(), CW_SPAN, options)
 
@@ -334,13 +361,17 @@ class TestNonlinearPropagation:
         with pytest.raises(ValueError, match=r"SMF of 120\.0 km at step_km = 1e-09 needs 1\.2e\+11 steps"):
             fl.propagate_fiber(cw_field(), fiber, fl.SsfmOptions(step_km=1e-9))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
-        ("max_phase", "gamma"), [(1e-300, 1.3), (0.05, 1e300)], ids=["tiny_phase", "huge_gamma"]
+        ("p0", "gamma"), [(1e308, 1.3), (0.05, 1e300)], ids=["overflow", "huge_gamma"]
     )
-    def test_adaptive_step_that_does_not_advance_aborts(self, max_phase, gamma):
+    def test_adaptive_step_that_does_not_advance_aborts(self, p0, gamma):
+        # every trial is rejected, down to a step that no longer advances z:
+        # at 1e308 W the first trials' Kerr phases overflow, and a non-finite
+        # estimate must reject them
         fiber = fl.FiberParams(10.0, 16.0, 0.2, gamma)
         with pytest.raises(fl.PropagationError, match="stall at z = 0.000 km in SMF"):
-            fl.propagate_fiber(cw_field(), fiber, fl.SsfmOptions(max_nl_phase_rad=max_phase))
+            fl.propagate_fiber(cw_field(p0), fiber)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -349,7 +380,7 @@ class TestNonlinearPropagation:
         pulse = gaussian(GRID64, peak_w=100.0)
         fiber = fl.FiberParams(1.0, 0.0, 0.0, 1e308)
         with pytest.raises(fl.PropagationError, match=r"non-finite field at z = 0\.100 km in SMF"):
-            fl.propagate_fiber(pulse, fiber)
+            fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(step_km=0.1))
 
 
 class TestAmplify:
