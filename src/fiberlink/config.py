@@ -15,7 +15,7 @@ from .link import SCHEMES, LinkConfig
 from .signals import ALLOWED_SAMPLES_PER_BIT
 from .transmitter import PRBS_TAPS
 
-__all__ = ["ConfigError", "parse_config", "parse_config_file", "read_config_text", "KNOWN_KEYS"]
+__all__ = ["ConfigError", "parse_config", "read_config_text", "KNOWN_KEYS"]
 
 
 class ConfigError(ValueError):
@@ -212,8 +212,3 @@ def read_config_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from None
-
-
-def parse_config_file(path: str) -> LinkConfig:
-    """Read and parse a config file from disk."""
-    return parse_config(read_config_text(path))

@@ -12,13 +12,12 @@ dB/km, 1/(W km) — and are converted to SI internally.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import OpticalField, dbm_to_watts
+from .signals import OpticalField, dbm_to_watts, finite_db
 
 __all__ = [
     "FiberParams",
@@ -116,12 +115,12 @@ class AmplifierParams:
         if self.mode == "fixed":
             if self.gain_db is None:
                 raise ValueError("fixed mode requires gain_db")
-            if self.gain_db < 0 or not np.isfinite(self.gain_db):
-                raise ValueError(f"gain_db must be >= 0, got {self.gain_db}")
-        if self.target_dbm is not None and not np.isfinite(self.target_dbm):
-            raise ValueError(f"target_dbm must be finite, got {self.target_dbm}")
-        if not np.isfinite(self.noise_figure_db):
-            raise ValueError(f"noise_figure_db must be finite, got {self.noise_figure_db}")
+            if self.gain_db < 0 or not finite_db(self.gain_db):
+                raise ValueError(f"gain_db must be >= 0 and a finite ratio, got {self.gain_db}")
+        if self.target_dbm is not None and not finite_db(self.target_dbm):
+            raise ValueError(f"target_dbm must be finite in W, got {self.target_dbm}")
+        if not finite_db(self.noise_figure_db):
+            raise ValueError(f"noise_figure_db must be a finite ratio, got {self.noise_figure_db}")
         if self.ase_enabled and self.noise_figure_db < 3.0:
             raise ValueError(
                 f"noise_figure_db must be >= 3 dB when ASE is on, got {self.noise_figure_db}"

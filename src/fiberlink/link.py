@@ -3,8 +3,9 @@
 A link is an ordered sequence of fiber spans and amplifiers. The three
 compensation schemes place the DCF before the SMF line (``pre``), after it
 (``post``), or split it across both ends (``symmetric``). Every fiber span is
-followed by an amplifier that restores the launch level, so the Q comparison
-across dispersion maps is not confounded by net loss.
+followed by an amplifier. By default (``amp.mode = restore``) it restores the
+launch level, so the Q comparison across dispersion maps is not confounded by
+net loss; ``amp.mode = fixed:<dB>`` applies a fixed gain instead.
 """
 from __future__ import annotations
 

@@ -96,11 +96,6 @@ class EyeDiagram:
     skip_bits: int
     degenerate: bool
 
-    @property
-    def time_ui(self) -> np.ndarray:
-        """Trace sample positions within the unit interval, in UI."""
-        return np.arange(self.grid.samples_per_bit) / self.grid.samples_per_bit
-
 
 @dataclass(frozen=True, slots=True)
 class QResult:

@@ -15,13 +15,7 @@ __all__ = [
     "SamplingGrid",
     "OpticalField",
     "ElectricalWaveform",
-    "mean_power",
-    "peak_power",
-    "energy",
-    "spectrum",
-    "inverse_spectrum",
     "dbm_to_watts",
-    "watts_to_dbm",
 ]
 
 ALLOWED_SAMPLES_PER_BIT = (8, 16, 32, 64, 128)
@@ -37,11 +31,12 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 1e-3 * 10.0 ** (p_dbm / 10.0)
 
 
-def watts_to_dbm(p_watts: float) -> float:
-    """Convert a power in watts to dBm. Requires ``p_watts > 0``."""
-    if p_watts <= 0.0:
-        raise ValueError(f"power must be positive to express in dBm, got {p_watts}")
-    return 10.0 * np.log10(p_watts / 1e-3)
+def finite_db(value: float) -> bool:
+    """True when the dB value and its linear ratio ``10**(value/10)`` are finite floats."""
+    try:
+        return np.isfinite(value) and np.isfinite(10.0 ** (value / 10.0))
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,26 +93,9 @@ class SamplingGrid:
     def sample_rate(self) -> float:
         return 1.0 / self.dt
 
-    @property
-    def df(self) -> float:
-        """Frequency-bin spacing of the FFT lattice, Hz."""
-        return 1.0 / (self.n_samples * self.dt)
-
-    @property
-    def duration(self) -> float:
-        return self.n_samples * self.dt
-
-    def time(self) -> np.ndarray:
-        """Sample times in seconds, starting at zero."""
-        return np.arange(self.n_samples) * self.dt
-
-    def frequencies(self) -> np.ndarray:
-        """Baseband frequencies in Hz, FFT bin order."""
-        return np.fft.fftfreq(self.n_samples, self.dt)
-
     def omega(self) -> np.ndarray:
         """Angular baseband frequencies in rad/s, FFT bin order."""
-        return 2.0 * np.pi * self.frequencies()
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_samples, self.dt)
 
 
 def _validate_samples(samples: np.ndarray, grid: SamplingGrid, kind: str) -> None:
@@ -143,10 +121,6 @@ class OpticalField:
         _validate_samples(arr, self.grid, "optical field")
         object.__setattr__(self, "samples", arr)
 
-    def power(self) -> np.ndarray:
-        """Instantaneous power |a|^2 in watts."""
-        return np.abs(self.samples) ** 2
-
 
 @dataclass(frozen=True, slots=True)
 class ElectricalWaveform:
@@ -160,32 +134,3 @@ class ElectricalWaveform:
         _validate_samples(arr, self.grid, "electrical waveform")
         object.__setattr__(self, "samples", arr)
 
-
-def mean_power(field: OpticalField) -> float:
-    """Time-averaged optical power in watts."""
-    return float(np.mean(np.abs(field.samples) ** 2))
-
-
-def peak_power(field: OpticalField) -> float:
-    """Maximum instantaneous optical power in watts."""
-    return float(np.max(np.abs(field.samples) ** 2))
-
-
-def energy(field: OpticalField) -> float:
-    """Total energy of the frame in joules: sum |a|^2 * dt."""
-    return float(np.sum(np.abs(field.samples) ** 2) * field.grid.dt)
-
-
-def spectrum(field: OpticalField) -> np.ndarray:
-    """Unitary (norm-preserving) FFT of the field, FFT bin order."""
-    return np.fft.fft(field.samples, norm="ortho")
-
-
-def inverse_spectrum(spec: np.ndarray, grid: SamplingGrid) -> OpticalField:
-    """Inverse of :func:`spectrum`; returns a field on ``grid``."""
-    spec = np.asarray(spec, dtype=np.complex128)
-    if spec.shape != (grid.n_samples,):
-        raise ValueError(
-            f"spectrum has shape {spec.shape} but the grid expects ({grid.n_samples},)"
-        )
-    return OpticalField(np.fft.ifft(spec, norm="ortho"), grid)

@@ -16,6 +16,7 @@ from .signals import (
     OpticalField,
     SamplingGrid,
     dbm_to_watts,
+    finite_db,
 )
 
 __all__ = [
@@ -58,9 +59,6 @@ class BitSequence:
             raise ValueError("bit sequence must contain only 0s and 1s")
         object.__setattr__(self, "bits", arr)
 
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
 
 @dataclass(frozen=True, slots=True)
 class TxConfig:
@@ -79,8 +77,8 @@ class TxConfig:
             raise ValueError(f"bit_rate must be positive, got {self.bit_rate}")
         if not (self.wavelength > 0 and np.isfinite(self.wavelength)):
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if not np.isfinite(self.launch_power_dbm):
-            raise ValueError(f"launch_power_dbm must be finite, got {self.launch_power_dbm}")
+        if not finite_db(self.launch_power_dbm):
+            raise ValueError(f"launch_power_dbm must be finite in W, got {self.launch_power_dbm}")
         if self.linewidth_hz < 0 or not np.isfinite(self.linewidth_hz):
             raise ValueError(f"linewidth_hz must be >= 0, got {self.linewidth_hz}")
         if self.prbs_order not in PRBS_TAPS:
@@ -132,8 +130,8 @@ def nrz_drive(bits: BitSequence, grid: SamplingGrid, rise_time: float = 0.25) ->
     """
     if not (0.0 < rise_time < 0.5):
         raise ValueError(f"rise_time must lie in (0, 0.5), got {rise_time}")
-    if len(bits) != grid.n_bits:
-        raise ValueError(f"got {len(bits)} bits for a grid of {grid.n_bits} bit slots")
+    if bits.bits.size != grid.n_bits:
+        raise ValueError(f"got {bits.bits.size} bits for a grid of {grid.n_bits} bit slots")
     b = bits.bits.astype(np.float64)
     spb = grid.samples_per_bit
     n = grid.n_samples

@@ -11,6 +11,11 @@ import fiberlink as fl
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def centred_time(grid: fl.SamplingGrid) -> np.ndarray:
+    """Sample times in seconds, with zero at the middle of the frame."""
+    return np.arange(grid.n_samples) * grid.dt - grid.n_samples * grid.dt / 2
+
+
 def subprocess_env() -> dict[str, str]:
     """The current environment with this tree's ``src`` first on ``PYTHONPATH``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -32,7 +37,7 @@ def grid_tiny():
 @pytest.fixture
 def gaussian_pulse(grid64):
     """Unit-peak chirp-free Gaussian, T0 = 25 ps, centered in the frame."""
-    t = grid64.time() - grid64.duration / 2
+    t = centred_time(grid64)
     t0 = 25e-12
     return fl.OpticalField(np.exp(-(t**2) / (2 * t0**2)).astype(complex), grid64), t0
 

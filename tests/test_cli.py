@@ -122,8 +122,11 @@ class TestRun:
         [
             ("smf.dispersion_ps_nm_km = nan", "dispersion"),
             ("amp.ase = true\namp.noise_figure_db = nan", "noise_figure_db"),
+            ("tx.power_dbm = 4000", "launch_power_dbm"),
+            ("amp.mode = fixed:4000", "gain_db"),
+            ("amp.ase = true\namp.noise_figure_db = 4000", "noise_figure_db"),
         ],
-        ids=["dispersion", "noise_figure"],
+        ids=["dispersion", "noise_figure", "power_overflow", "gain_overflow", "nf_overflow"],
     )
     def test_non_finite_fiber_or_amp_value_exits_2(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "nan.cfg"

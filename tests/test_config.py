@@ -72,7 +72,7 @@ class TestDefaults:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "link.cfg"
         path.write_text("sim.seed = 9\n", encoding="utf-8")
-        assert fl.parse_config_file(str(path)).sim.seed == 9
+        assert fl.parse_config(fl.read_config_text(str(path))).sim.seed == 9
 
 
 class TestUnitConversion:

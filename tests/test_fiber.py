@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
+from conftest import centred_time
 
 # frozen conversion oracles, computed from beta2 = -D lambda^2 / (2 pi c)
 # with c = 299792458 m/s and lambda = 1550 nm
@@ -16,12 +17,12 @@ GRID64 = fl.SamplingGrid(10e9, 64, 32, 1550e-9)
 
 
 def gaussian(grid, t0=25e-12, peak_w=1.0):
-    t = grid.time() - grid.duration / 2
+    t = centred_time(grid)
     return fl.OpticalField((np.sqrt(peak_w) * np.exp(-(t**2) / (2 * t0**2))).astype(complex), grid)
 
 
 def rms_width(field):
-    t = field.grid.time()
+    t = centred_time(field.grid)
     p = np.abs(field.samples) ** 2
     w = p / p.sum()
     mu = float((t * w).sum())
@@ -206,8 +207,9 @@ class TestLinearPropagation:
         ld_km = (t0 * 1e12) ** 2 / abs(beta2)
         out = fl.propagate_fiber(pulse, fl.FiberParams(ld_km, 16.0, 0.0, 0.0))
         # broadening by sqrt(2) with conserved energy scales the peak by 1/sqrt(2)
-        assert fl.peak_power(out) == pytest.approx(2.0**-0.5, rel=1e-6)
-        assert fl.energy(out) == pytest.approx(fl.energy(pulse), rel=1e-9)
+        assert np.max(np.abs(out.samples) ** 2) == pytest.approx(2.0**-0.5, rel=1e-6)
+        energy_in = np.sum(np.abs(pulse.samples) ** 2)
+        assert np.sum(np.abs(out.samples) ** 2) == pytest.approx(energy_in, rel=1e-9)
 
     def test_loss_only_samplewise(self):
         pulse = gaussian(GRID64)
@@ -257,7 +259,8 @@ class TestNonlinearPropagation:
         # adaptive steps: the extrapolation (4 u_f - u_c) / 3 is not unitary, but
         # it adds only 4 delta^2 / 9 of energy per trial (criterion 5 checks fixed steps)
         out = fl.propagate_fiber(field, fiber)
-        assert fl.energy(out) == pytest.approx(fl.energy(field), rel=1e-6)
+        energy_in = np.sum(np.abs(field.samples) ** 2) * GRID64.dt
+        assert np.sum(np.abs(out.samples) ** 2) * GRID64.dt == pytest.approx(energy_in, rel=1e-6)
 
     @pytest.mark.parametrize("step_km", [0.1, None], ids=["fixed", "adaptive"])
     def test_spm_only_pure_phase(self, step_km):
@@ -276,11 +279,11 @@ class TestNonlinearPropagation:
         beta2 = fl.d_to_beta2(16.0, 1550e-9)
         p0 = abs(beta2 * 1e-27) / (gamma * 1e-3 * t0**2)
         ld_km = (t0 * 1e12) ** 2 / abs(beta2)
-        t = GRID64.time() - GRID64.duration / 2
+        t = centred_time(GRID64)
         sol = fl.OpticalField((np.sqrt(p0) / np.cosh(t / t0)).astype(complex), GRID64)
         fiber = fl.FiberParams(2 * ld_km, 16.0, 0.0, gamma)
         out = fl.propagate_fiber(sol, fiber)
-        assert fl.peak_power(out) == pytest.approx(p0, rel=0.01)
+        assert np.max(np.abs(out.samples) ** 2) == pytest.approx(p0, rel=0.01)
         assert rms_width(out) == pytest.approx(rms_width(sol), rel=0.01)
 
     def test_step_halving_second_order(self):
@@ -392,7 +395,7 @@ class TestAmplify:
     def test_fixed_gain_power(self):
         pulse = gaussian(GRID64)
         out = fl.amplify(pulse, fl.AmplifierParams(mode="fixed", gain_db=24.0))
-        ratio = fl.mean_power(out) / fl.mean_power(pulse)
+        ratio = np.mean(np.abs(out.samples) ** 2) / np.mean(np.abs(pulse.samples) ** 2)
         assert ratio == pytest.approx(10 ** 2.4, rel=1e-12)
 
     def test_restore_constant_field_exact(self):

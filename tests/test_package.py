@@ -1,6 +1,8 @@
 """The package's public names, and what importing and stepping it costs."""
 from __future__ import annotations
 
+import ast
+import importlib
 import platform
 import subprocess
 import sys
@@ -8,23 +10,31 @@ import sys
 import pytest
 
 import fiberlink as fl
-from conftest import subprocess_env
+from conftest import ROOT, subprocess_env
 from fiberlink import config, fiber, link, metrics, receiver, signals, transmitter
 
-# Minor page faults per step of a warm 100-step propagate_fiber at 32,768 samples.
-FAULTS_PER_STEP = """
+# Minor page faults per FFT pair of a warm propagate_fiber call at 32,768 samples.
+# The field is noise, so adaptive steps take ~50 trials, not the one a CW takes.
+FAULTS_PER_FFT_PAIR = """
 import resource
 import numpy as np
+fft, pairs = np.fft.fft, []
+def counted_fft(*args, **kwargs):
+    pairs.append(None)
+    return fft(*args, **kwargs)
+np.fft.fft = counted_fft
 import fiberlink as fl
 grid = fl.SamplingGrid(10e9, 1024, 32, 1550e-9)
-field = fl.OpticalField(np.full(grid.n_samples, 0.03 + 0.0j), grid)
+n, rng = grid.n_samples, np.random.default_rng(0)
+field = fl.OpticalField(0.03 * (rng.normal(size=n) + 1j * rng.normal(size=n)), grid)
 fiber = fl.FiberParams(10.0, 17.0, 0.2, 1.3)
-options = fl.SsfmOptions(step_km=0.1)
+options = fl.SsfmOptions(step_km={step_km})
 fl.propagate_fiber(field, fiber, options)
+pairs.clear()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 fl.propagate_fiber(field, fiber, options)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-print(options.fixed_steps(fiber), (after - before) / options.fixed_steps(fiber))
+print(len(pairs), (after - before) / len(pairs))
 """
 
 
@@ -68,7 +78,26 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc", reason="the FFT scratch faults are glibc's mmap threshold"
 )
-def test_split_steps_do_not_page_fault():
-    steps, faults_per_step = fresh_process(FAULTS_PER_STEP)
-    assert int(steps) >= 100
-    assert float(faults_per_step) < 8, f"{faults_per_step} minor page faults per step"
+@pytest.mark.parametrize("step_km", [0.1, None], ids=["fixed", "adaptive"])
+def test_split_steps_do_not_page_fault(step_km):
+    pairs, faults_per_pair = fresh_process(FAULTS_PER_FFT_PAIR.format(step_km=step_km))
+    assert int(pairs) >= 100
+    assert float(faults_per_pair) < 8, f"{faults_per_pair} minor page faults per FFT pair"
+
+
+def test_every_import_is_used_or_exported():
+    unused = []
+    for path in sorted((ROOT / "src" / "fiberlink").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = importlib.import_module(f"fiberlink.{path.stem}".removesuffix(".__init__"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(getattr(module, "__all__", ()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "*" and name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
