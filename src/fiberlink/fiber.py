@@ -174,16 +174,18 @@ def propagate_fiber(
 
     A symmetric step of size dz is a half linear step (dispersion + loss, in
     the frequency domain), a Kerr phase rotation over dz, and another half
-    linear step. Fixed mode merges the trailing and leading half steps of
-    consecutive steps into one operator. Adaptive mode advances by trials of
-    2h from a start field: one coarse step of 2h and two fine steps of h give
-    u_c and u_f, and the trial is accepted when the relative local error
-    ``delta = |u_f - u_c| / |u_f|`` is at most ``2 * local_error``, as
-    ``(4 u_f - u_c) / 3``; otherwise h is halved and the trial retried. After
-    an accepted trial h shrinks by 2^(1/3) when ``delta > local_error`` and
-    grows by 2^(1/3) when ``delta < local_error / 2``. The first trial spans
-    the whole fiber. The total distance integrated is ``fiber.length_km``. The
-    input field is left untouched; the steps work in place on a copy of it.
+    linear step. The field is held as its spectrum between steps, so a step is
+    one FFT pair, and the trailing and leading half steps of consecutive steps
+    merge into one operator. Fixed mode takes equal steps. Adaptive mode
+    advances by trials of 2h from a start spectrum: one coarse step of 2h and
+    two fine steps of h, each closed by its half linear step, give U_c and U_f.
+    The trial is accepted when the relative local error
+    ``delta = |U_f - U_c| / |U_f|`` (that of the fields, by Parseval) is at
+    most ``2 * local_error``, as ``(4 U_f - U_c) / 3``; otherwise h is halved
+    and the trial retried. After an accepted trial h shrinks by 2^(1/3) when
+    ``delta > local_error`` and grows by 2^(1/3) when ``delta < local_error / 2``.
+    The first trial spans the whole fiber. The total distance integrated is
+    ``fiber.length_km``. The input field is left untouched.
     """
     if options is None:
         options = SsfmOptions()
@@ -201,43 +203,37 @@ def propagate_fiber(
     if options.step_km is not None:
         n_steps = options.fixed_steps(fiber)
 
-    e = field.samples.copy()
     # numpy's FFT allocates an n-sample scratch array on every transform, and
     # glibc serves blocks above its mmap threshold (128 KiB at start-up) from
     # fresh mmaps that page-fault in full, step after step. Freeing a larger
     # mmapped block raises the threshold to its size (glibc ignores blocks over
     # 32 MiB), so the scratch and this call's own buffers, each one field size
     # or less, are reused from the heap instead. The block is never touched.
-    np.empty(min(8 * e.nbytes, 16 << 20), np.uint8)
-    power = np.empty(e.shape)
-    phase = np.empty_like(power)
-    rotation = np.empty_like(e)
-    half = np.empty_like(e)
-    full = np.empty_like(e)
+    np.empty(min(8 * field.samples.nbytes, 16 << 20), np.uint8)
+    spec = np.fft.fft(field.samples)
+    power = np.empty(spec.shape)
+    rotation = np.empty_like(spec)
+    half = np.empty_like(spec)
+    full = np.empty_like(spec)
 
     def split_step(src: np.ndarray, dst: np.ndarray, op: np.ndarray, dz: float) -> bool:
-        """``dst`` = the linear operator ``op``, then the Kerr rotation over ``dz``, on ``src``.
+        """Spectrum ``dst`` = linear operator ``op``, then Kerr rotation over ``dz``, on ``src``.
 
-        Returns False, with the rotation left out, when the field turns non-finite.
+        Returns False, rotation and forward FFT left out, when the field turns non-finite.
         """
-        np.fft.fft(src, out=dst)
-        dst *= op
+        np.multiply(src, op, out=dst)
         np.fft.ifft(dst, out=dst)
         np.abs(dst, out=power)
         np.square(power, out=power)
-        np.multiply(gamma_si * dz, power, out=phase)
-        # phase >= 0 is non-finite exactly where the rotated field would be.
-        if not np.isfinite(np.max(phase)):
+        np.multiply(gamma_si * dz, power, out=power)
+        # The phase >= 0 is non-finite exactly where the rotated field would be.
+        if not np.isfinite(np.max(power)):
             return False
-        np.cos(phase, out=rotation.real)
-        np.sin(phase, out=rotation.imag)
+        np.cos(power, out=rotation.real)
+        np.sin(power, out=rotation.imag)
         dst *= rotation
+        np.fft.fft(dst, out=dst)
         return True
-
-    def linear(u: np.ndarray, op: np.ndarray) -> None:
-        np.fft.fft(u, out=u)
-        u *= op
-        np.fft.ifft(u, out=u)
 
     def norm2(u: np.ndarray) -> float:
         """The sum of |u|^2, by numpy's own sum: a BLAS dot product of this size
@@ -256,20 +252,20 @@ def propagate_fiber(
         dz = length_m / n_steps
         set_ops(dz)
         for k in range(n_steps):
-            if not split_step(e, e, full if k else half, dz):
+            if not split_step(spec, spec, full if k else half, dz):
                 raise PropagationError(
                     f"non-finite field at z = {(k + 1) * dz / 1e3:.3f} km in "
                     f"{fiber.label}; the step size is too large for this launch power"
                 )
-        # The last Kerr step left |e|^2 finite and already applied this half
-        # (inside full), and |half| <= 1, so the closing half step cannot make e
-        # non-finite.
-        linear(e, half)
-        return OpticalField(e, grid)
+        # The last Kerr step left the field finite and already applied this half
+        # (inside full), and |half| <= 1, so the closing half step cannot make
+        # it non-finite.
+        spec *= half
+        return OpticalField(np.fft.ifft(spec, out=spec), grid)
 
     tol = options.local_error
-    coarse = np.empty_like(e)
-    fine = np.empty_like(e)
+    coarse = np.empty_like(spec)
+    fine = np.empty_like(spec)
     remaining, h, trials = length_m, length_m / 2.0, 0
     while remaining > 0.0:
         h = min(h, remaining / 2.0)
@@ -283,12 +279,12 @@ def propagate_fiber(
         set_ops(h)
         delta = math.nan
         if (
-            split_step(e, coarse, full, 2.0 * h)
-            and split_step(e, fine, half, h)
+            split_step(spec, coarse, full, 2.0 * h)
+            and split_step(spec, fine, half, h)
             and split_step(fine, fine, full, h)
         ):
-            linear(coarse, full)
-            linear(fine, half)
+            coarse *= full
+            fine *= half
             np.subtract(fine, coarse, out=coarse)
             err, ref = norm2(coarse), norm2(fine)
             delta = math.sqrt(err / ref if ref > 0.0 else err)
@@ -298,13 +294,13 @@ def propagate_fiber(
             continue
         coarse /= 3.0
         fine += coarse
-        e, fine = fine, e
+        spec, fine = fine, spec
         remaining -= 2.0 * h
         if delta > tol:
             h /= STEP_FACTOR
         elif delta < tol / 2.0:
             h *= STEP_FACTOR
-    return OpticalField(e, grid)
+    return OpticalField(np.fft.ifft(spec, out=spec), grid)
 
 
 def _mark_level_estimate(power: np.ndarray) -> float:
