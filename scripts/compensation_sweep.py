@@ -38,15 +38,8 @@ def main() -> int:
         )
     config = dataclasses.replace(config, sim=sim)
 
-    spec = fl.SweepSpec(
-        pre_lengths_km=tuple(p for p, _ in PAIRS),
-        post_lengths_km=tuple(p for _, p in PAIRS),
-        config=config,
-        pairing="zip",
-    )
-
     start = time.perf_counter()
-    rows = fl.sweep(spec)
+    rows = fl.sweep(config, PAIRS)
     elapsed = time.perf_counter() - start
 
     header = f"{'pre km':>7} {'post km':>8} {'residual ps/nm':>15} {'Q dB':>8} {'BER':>12} {'jitter ns':>10}"

@@ -54,11 +54,11 @@ def main() -> int:
         "post": (0.0, total),
         "symmetric": (total / 2, total / 2),
     }
-    for scheme, (pre, post) in layouts.items():
-        topology = fl.build_link(scheme, pre, post)
+    for name, (pre, post) in layouts.items():
+        topology = fl.build_link(pre, post)
         profile = fl.dispersion_profile(topology)
         residual = fl.residual_dispersion(topology)
-        print(f"== {scheme} (pre {pre:g} km, post {post:g} km) ==")
+        print(f"== {name} (pre {pre:g} km, post {post:g} km) ==")
         print("position_km,accumulated_ps_nm")
         for position, accumulated in profile:
             print(f"{position:g},{accumulated:g}")

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config, read_config_text
-from .link import LinkConfig, SweepSpec, dispersion_profile, run_link_full, sweep
+from .link import LinkConfig, dispersion_profile, run_link_full, sweep
 from .metrics import format_eye
 
 __all__ = ["main", "CSV_HEADER"]
@@ -81,17 +82,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed)
     pre = _parse_lengths(args.pre, "--pre")
     post = _parse_lengths(args.post, "--post")
-    try:
-        spec = SweepSpec(
-            pre_lengths_km=pre,
-            post_lengths_km=post,
-            config=config,
-            pairing=args.pairing,
-            per_row_seeds=args.per_row_seeds,
+    if args.pairing == "zip" and len(pre) != len(post):
+        raise ConfigError(
+            f"zip pairing requires equally long lists, got {len(pre)} and {len(post)}"
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    rows = sweep(spec)
+    pairs = itertools.product(pre, post) if args.pairing == "cross" else zip(pre, post)
+    rows = sweep(config, pairs, args.per_row_seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER]

@@ -11,7 +11,7 @@ import dataclasses
 import math
 from typing import Any, Callable
 
-from .link import SCHEMES, LinkConfig
+from .link import LinkConfig
 from .signals import ALLOWED_SAMPLES_PER_BIT
 from .transmitter import PRBS_TAPS
 
@@ -43,15 +43,6 @@ def _parse_float(text: str) -> float:
         return float(text)
     except ValueError:
         raise ValueError(f"expected a number, got {text!r}") from None
-
-
-def _parse_choice(choices: tuple[str, ...]) -> Callable[[str], str]:
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"expected one of {choices}, got {text!r}")
-        return text
-
-    return parse
 
 
 def _parse_amp_mode(text: str) -> tuple[str, float | None]:
@@ -97,13 +88,11 @@ def _in_set(allowed: tuple[int, ...]) -> Callable[[str], int]:
 # dataclasses. A parser that returns a tuple sets one field per path. Negative
 # powers divide: 1550 / 1e9 is the double nearest 1550e-9, 1550 * 1e-9 is not.
 _SCHEMA: dict[str, tuple[Callable[[str], Any], str | tuple[str, ...], int]] = {
-    "link.scheme": (_parse_choice(SCHEMES), "scheme", 0),
     "link.n_smf_spans": (_positive(_parse_int), "n_smf_spans", 0),
     "smf.length_km": (_non_negative(_parse_float), "smf.length_km", 0),
     "smf.dispersion_ps_nm_km": (_parse_float, "smf.dispersion_ps_nm_km", 0),
     "smf.loss_db_km": (_non_negative(_parse_float), "smf.loss_db_km", 0),
     "smf.gamma_per_w_km": (_non_negative(_parse_float), "smf.gamma_per_w_km", 0),
-    "dcf.length_km": (_non_negative(_parse_float), "dcf.length_km", 0),
     "dcf.pre_length_km": (_non_negative(_parse_float), "pre_length_km", 0),
     "dcf.post_length_km": (_non_negative(_parse_float), "post_length_km", 0),
     "dcf.dispersion_ps_nm_km": (_parse_float, "dcf.dispersion_ps_nm_km", 0),
@@ -192,15 +181,8 @@ def parse_config(text: str) -> LinkConfig:
         lineno = max(lines["sim.step_km"], lines["sim.local_error"])
         raise ConfigError(f"line {lineno}: sim.step_km and sim.local_error are mutually exclusive")
 
-    # The DCF side a scheme does not use defaults to zero length, the other
-    # to dcf.length_km.
-    base = LinkConfig()
-    scheme = updates.get("scheme", base.scheme)
-    dcf_length = updates.get("dcf.length_km", base.dcf.length_km)
-    updates.setdefault("pre_length_km", dcf_length if scheme in ("pre", "symmetric") else 0.0)
-    updates.setdefault("post_length_km", dcf_length if scheme in ("post", "symmetric") else 0.0)
     try:
-        return _replace(base, updates)
+        return _replace(LinkConfig(), updates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -1,17 +1,20 @@
 """Link assembly and orchestration: dispersion maps, single runs, and sweeps.
 
-A link is an ordered sequence of fiber spans and amplifiers. The three
-compensation schemes place the DCF before the SMF line (``pre``), after it
-(``post``), or split it across both ends (``symmetric``). Every fiber span is
-followed by an amplifier. By default (``amp.mode = restore``) it restores the
-launch level, so the Q comparison across dispersion maps is not confounded by
-net loss; ``amp.mode = fixed:<dB>`` applies a fixed gain instead.
+A link is an ordered sequence of fiber spans and amplifiers. The two DCF
+lengths are the dispersion map: a DCF side is placed before (pre) or after
+(post) the SMF line when its length is > 0. So (L, 0) is pre-compensation,
+(0, L) post-compensation, two positive lengths split the DCF across both ends,
+and (0, 0) is the uncompensated line. Every fiber span is followed by an
+amplifier. By default (``amp.mode = restore``) it restores the launch level,
+so the Q comparison across dispersion maps is not confounded by net loss;
+``amp.mode = fixed:<dB>`` applies a fixed gain instead.
 """
 from __future__ import annotations
 
 import copy
 import dataclasses
-from collections.abc import Iterator
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +33,9 @@ from .signals import ElectricalWaveform, OpticalField, SamplingGrid
 from .transmitter import DEFAULT_LFSR_SEED, BitSequence, TxConfig, prbs_generate, transmit
 
 __all__ = [
-    "SCHEMES",
     "LinkTopology",
     "SimSettings",
     "LinkConfig",
-    "SweepSpec",
     "SweepRow",
     "LinkRunResult",
     "build_link",
@@ -43,8 +44,6 @@ __all__ = [
     "run_link_full",
     "sweep",
 ]
-
-SCHEMES = ("pre", "post", "symmetric")
 
 DEFAULT_SMF = FiberParams(
     length_km=120.0,
@@ -81,7 +80,6 @@ class LinkTopology:
 
 
 def build_link(
-    scheme: str,
     l_pre: float,
     l_post: float,
     smf: FiberParams = DEFAULT_SMF,
@@ -89,22 +87,14 @@ def build_link(
     n_smf_spans: int = 2,
     amplifier: AmplifierParams | None = None,
 ) -> LinkTopology:
-    """Assemble the element chain for one compensation scheme.
+    """Assemble the element chain of one dispersion map.
 
-    ``l_pre``/``l_post`` are the DCF lengths at the line input and output;
-    the scheme dictates which of them must be positive. Every fiber span is
-    followed by a copy of ``amplifier`` (default: restore to 0 dBm).
+    ``l_pre``/``l_post`` are the DCF lengths at the line input and output; a
+    side is left out when its length is 0. Every fiber span is followed by a
+    copy of ``amplifier`` (default: restore to 0 dBm).
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if l_pre < 0 or l_post < 0:
-        raise ValueError(f"DCF lengths must be >= 0, got pre={l_pre}, post={l_post}")
-    if scheme == "pre" and not (l_pre > 0 and l_post == 0):
-        raise ValueError("pre-compensation requires l_pre > 0 and l_post == 0")
-    if scheme == "post" and not (l_post > 0 and l_pre == 0):
-        raise ValueError("post-compensation requires l_post > 0 and l_pre == 0")
-    if scheme == "symmetric" and not (l_pre > 0 and l_post > 0):
-        raise ValueError("symmetric compensation requires both DCF lengths > 0")
+    if not (0 <= l_pre < math.inf and 0 <= l_post < math.inf):
+        raise ValueError(f"DCF lengths must satisfy 0 <= l < inf, got pre={l_pre}, post={l_post}")
     if n_smf_spans < 1:
         raise ValueError(f"n_smf_spans must be >= 1, got {n_smf_spans}")
     if amplifier is None:
@@ -169,13 +159,14 @@ class SimSettings:
 class LinkConfig:
     """Complete description of one link simulation.
 
-    Construction checks what the modules must agree on: the topology, the
-    fixed-mode step count of each span, the sampling grid, the receive filter
-    against the grid's Nyquist frequency, and enough bits of each value for
-    ``estimate_q``.
+    ``pre_length_km``/``post_length_km`` are the DCF sides passed to
+    :func:`build_link`; ``dcf`` supplies the other DCF parameters, and its own
+    ``length_km`` is not used. Construction checks what the modules must agree
+    on: the topology, the fixed-mode step count of each span, the sampling
+    grid, the receive filter against the grid's Nyquist frequency, and enough
+    bits of each value for ``estimate_q``.
     """
 
-    scheme: str = "symmetric"
     n_smf_spans: int = 2
     smf: FiberParams = DEFAULT_SMF
     dcf: FiberParams = DEFAULT_DCF
@@ -219,7 +210,6 @@ class LinkConfig:
 
     def resolve_topology(self) -> LinkTopology:
         return build_link(
-            self.scheme,
             self.pre_length_km,
             self.post_length_km,
             self.smf,
@@ -304,44 +294,6 @@ def run_link_full(config: LinkConfig) -> LinkRunResult:
 
 
 @dataclass(frozen=True, slots=True)
-class SweepSpec:
-    """A family of runs over (pre, post) DCF length pairs.
-
-    ``pairing = "zip"`` walks the two lists in lockstep (equal lengths
-    required); ``"cross"`` runs the Cartesian product. By default every row
-    reuses the master seed so Q differences reflect the dispersion map alone;
-    ``per_row_seeds`` derives a distinct child seed per row instead. Rows that
-    share a seed share the transmitted signal and any common element-chain
-    prefix, which :func:`sweep` computes once; each row still equals
-    ``run_link_full`` of its config. ``per_row_seeds`` turns the sharing off.
-    """
-
-    pre_lengths_km: tuple[float, ...]
-    post_lengths_km: tuple[float, ...]
-    config: LinkConfig
-    pairing: str = "zip"
-    per_row_seeds: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pre_lengths_km", tuple(self.pre_lengths_km))
-        object.__setattr__(self, "post_lengths_km", tuple(self.post_lengths_km))
-        if self.pairing not in ("zip", "cross"):
-            raise ValueError(f"pairing must be 'zip' or 'cross', got {self.pairing!r}")
-        if not self.pre_lengths_km or not self.post_lengths_km:
-            raise ValueError("sweep length lists must be non-empty")
-        if self.pairing == "zip" and len(self.pre_lengths_km) != len(self.post_lengths_km):
-            raise ValueError(
-                "zip pairing requires equally long lists, got "
-                f"{len(self.pre_lengths_km)} and {len(self.post_lengths_km)}"
-            )
-
-    def pairs(self) -> list[tuple[float, float]]:
-        if self.pairing == "zip":
-            return list(zip(self.pre_lengths_km, self.post_lengths_km))
-        return [(a, b) for a in self.pre_lengths_km for b in self.post_lengths_km]
-
-
-@dataclass(frozen=True, slots=True)
 class SweepRow:
     """Outcome of one sweep point; ``error`` is set when the run failed."""
 
@@ -355,23 +307,29 @@ class SweepRow:
     error: str | None = None
 
 
-def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Run every sweep point, collecting failures instead of aborting.
+def sweep(
+    config: LinkConfig, pairs: Iterable[tuple[float, float]], per_row_seeds: bool = False
+) -> list[SweepRow]:
+    """Run ``config`` at each (pre, post) DCF length pair; a row that fails records its error.
 
-    Rows run in order, each resuming from the state at the end of the longest
-    element-chain prefix it shares with an earlier row of its seed.
+    By default every row reuses ``config.sim.seed``, so Q differences reflect
+    the dispersion map alone; ``per_row_seeds`` derives a distinct child seed
+    per row instead, which turns the sharing below off. Rows run in order, each
+    resuming from the state at the end of the longest element-chain prefix it
+    shares with an earlier row of its seed, and each still equals
+    ``run_link_full`` of its config.
     """
     plan: list[tuple[float, float, int, tuple | Exception]] = []
     # A prefix's state (bits, field, amplifier RNG) is kept until its last resuming row.
     seen: set[tuple] = set()
     last_use: dict[tuple, int] = {}
-    for index, (pre, post) in enumerate(spec.pairs()):
-        seed = spec.config.sim.seed
-        if spec.per_row_seeds:
-            seed = int(np.random.SeedSequence([spec.config.sim.seed, index]).generate_state(1)[0])
+    for index, (pre, post) in enumerate(pairs):
+        seed = config.sim.seed
+        if per_row_seeds:
+            seed = int(np.random.SeedSequence([config.sim.seed, index]).generate_state(1)[0])
         try:
-            sim = dataclasses.replace(spec.config.sim, seed=seed)
-            cfg = dataclasses.replace(spec.config, pre_length_km=pre, post_length_km=post, sim=sim)
+            sim = dataclasses.replace(config.sim, seed=seed)
+            cfg = dataclasses.replace(config, pre_length_km=pre, post_length_km=post, sim=sim)
             grid, topology = cfg.grid(), cfg.resolve_topology()
             keys = [(seed, topology.elements[:k]) for k in range(len(topology.elements) + 1)]
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation

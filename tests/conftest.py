@@ -50,7 +50,8 @@ def small_link_config(**overrides) -> fl.LinkConfig:
             "sim.samples_per_bit = 16",
             "sim.step_km = 1.0",
             "smf.length_km = 12",
-            "dcf.length_km = 2.4",
+            "dcf.pre_length_km = 2.4",
+            "dcf.post_length_km = 2.4",
         ]
         + [f"{k} = {v}" for k, v in overrides.items()]
     )

@@ -27,7 +27,8 @@ SMALL_CFG = "\n".join(
         "sim.samples_per_bit = 16",
         "sim.step_km = 1.0",
         "smf.length_km = 12",
-        "dcf.length_km = 2.4",
+        "dcf.pre_length_km = 2.4",
+        "dcf.post_length_km = 2.4",
     ]
 )
 
@@ -94,16 +95,15 @@ def test_criterion_2_residual_dispersion_arithmetic():
         (35.0, 35.0): -1760.0,
     }
     for (pre, post), residual in expected.items():
-        topo = fl.build_link("symmetric", pre, post)
+        topo = fl.build_link(pre, post)
         got = fl.residual_dispersion(topo)
         assert got == residual, f"(pre={pre}, post={post}): {got} != {residual}"
     announce("C2 residuals exactly 0 / -480 / -960 / -1760 ps/nm")
 
 
 def test_criterion_3_sweep_ordering_at_desk_scale():
-    spec = fl.SweepSpec(DESK_PRE_KM, DESK_POST_KM, config=fl.LinkConfig(), pairing="zip")
     start = time.perf_counter()
-    rows = fl.sweep(spec)
+    rows = fl.sweep(fl.LinkConfig(), zip(DESK_PRE_KM, DESK_POST_KM))
     elapsed = time.perf_counter() - start
 
     assert [r.error for r in rows] == [None] * 4
@@ -121,7 +121,7 @@ def test_criterion_3_sweep_ordering_at_desk_scale():
 
 
 def test_default_stepping_matches_fixed_oracle():
-    rows = fl.sweep(fl.SweepSpec(DESK_PRE_KM, DESK_POST_KM, config=fl.LinkConfig(), pairing="zip"))
+    rows = fl.sweep(fl.LinkConfig(), zip(DESK_PRE_KM, DESK_POST_KM))
     errors = [abs(row.q_db - q_ref) for row, q_ref in zip(rows, FIXED_ORACLE_Q_DB, strict=True)]
     assert max(errors) < Q_TOL_DB, f"|q_db - q_db(0.1 km fixed)| = {errors} dB"
     assert fl.run_link_full(fl.LinkConfig()).q.q_db == rows[0].q_db

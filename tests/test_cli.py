@@ -16,7 +16,8 @@ SMALL_CFG = "\n".join(
         "sim.samples_per_bit = 16",
         "sim.step_km = 1.0",
         "smf.length_km = 12",
-        "dcf.length_km = 2.4",
+        "dcf.pre_length_km = 2.4",
+        "dcf.post_length_km = 2.4",
     ]
 )
 
@@ -125,8 +126,11 @@ class TestRun:
             ("tx.power_dbm = 4000", "launch_power_dbm"),
             ("amp.mode = fixed:4000", "gain_db"),
             ("amp.ase = true\namp.noise_figure_db = 4000", "noise_figure_db"),
+            ("dcf.pre_length_km = nan", "0 <= l < inf"),
+            ("dcf.post_length_km = inf", "0 <= l < inf"),
         ],
-        ids=["dispersion", "noise_figure", "power_overflow", "gain_overflow", "nf_overflow"],
+        ids=["dispersion", "noise_figure", "power_overflow", "gain_overflow", "nf_overflow",
+             "dcf_nan", "dcf_inf"],
     )
     def test_non_finite_fiber_or_amp_value_exits_2(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "nan.cfg"
@@ -191,12 +195,14 @@ class TestSweep:
         out = tmp_path / "out"
         rc = main([
             "sweep", "--config", cfg_file,
-            "--pre", "2.4,3.0", "--post", "2.4",
+            "--pre", "2.4,3.0", "--post", "2.4,3.0",
             "--pairing", "cross", "--out", str(out),
         ])
         assert rc == 0
         rows = read_rows(out / "sweep.csv")
-        assert [(r[0], r[1]) for r in rows] == [("2.4", "2.4"), ("3.0", "2.4")]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("2.4", "2.4"), ("2.4", "3.0"), ("3.0", "2.4"), ("3.0", "3.0"),
+        ]
 
     def test_zip_length_mismatch_is_config_error(self, cfg_file, tmp_path, capsys):
         rc = main([
@@ -221,22 +227,32 @@ class TestSweep:
         assert f"{flag} lengths must be finite and >= 0 km" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_empty_length_list_exits_2(self, cfg_file, tmp_path, capsys):
+        rc = main([
+            "sweep", "--config", cfg_file,
+            "--pre", ",", "--post", "2.4",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "--pre expects at least one length" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_failed_row_reported_and_marked(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main([
             "sweep", "--config", cfg_file,
-            "--pre", "0,2.4", "--post", "2.4,2.4",
+            "--pre", "200000,2.4", "--post", "2.4,2.4",
             "--out", str(out),
         ])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "row (pre=0.0, post=2.4) failed:" in captured.err
+        assert "row (pre=200000.0, post=2.4) failed:" in captured.err
         assert "(1/2 rows ok)" in captured.out
 
         rows = read_rows(out / "sweep.csv")
         assert len(rows) == 2
         bad, good = rows
-        assert bad[0] == "0.0"
+        assert bad[0] == "200000.0"
         assert bad[2] == bad[3] == bad[4] == bad[5] == ""
         assert good[3] != ""
 

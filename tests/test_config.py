@@ -26,7 +26,6 @@ def readme_config_rows() -> list[tuple[list[str], str | None]]:
 class TestDefaults:
     def test_empty_text_yields_full_defaults(self):
         cfg = fl.parse_config("")
-        assert cfg.scheme == "symmetric"
         assert cfg.n_smf_spans == 2
         assert (cfg.smf.length_km, cfg.smf.dispersion_ps_nm_km) == (120.0, 16.0)
         assert (cfg.smf.loss_db_km, cfg.smf.gamma_per_w_km) == (0.2, 1.26677)
@@ -110,28 +109,23 @@ class TestUnitConversion:
 
 
 class TestSchemeDefaults:
+    """The compensation scheme follows from which DCF side is 0; both sides default to 24 km."""
+
     def test_pre_scheme_zeroes_post_side(self):
-        cfg = fl.parse_config("link.scheme = pre")
+        cfg = fl.parse_config("dcf.post_length_km = 0")
         assert cfg.pre_length_km == 24.0
         assert cfg.post_length_km == 0.0
         assert [el.label for el in cfg.resolve_topology().elements][:2] == ["DCF-pre", "AMP"]
 
     def test_post_scheme_zeroes_pre_side(self):
-        cfg = fl.parse_config("link.scheme = post")
+        cfg = fl.parse_config("dcf.pre_length_km = 0")
         assert cfg.pre_length_km == 0.0
         assert cfg.post_length_km == 24.0
 
     def test_explicit_lengths_override_scheme_default(self):
-        cfg = fl.parse_config(
-            "link.scheme = symmetric\ndcf.pre_length_km = 30\ndcf.post_length_km = 24"
-        )
+        cfg = fl.parse_config("dcf.pre_length_km = 30\ndcf.post_length_km = 24")
         assert cfg.pre_length_km == 30.0
         assert cfg.post_length_km == 24.0
-
-    def test_dcf_length_sets_both_symmetric_sides(self):
-        cfg = fl.parse_config("dcf.length_km = 20")
-        assert cfg.pre_length_km == 20.0
-        assert cfg.post_length_km == 20.0
 
 
 class TestAmpMode:
@@ -194,8 +188,9 @@ class TestParseErrors:
             fl.parse_config("rx.shot_noise = maybe")
 
     def test_bad_scheme_choice(self):
-        with pytest.raises(fl.ConfigError, match="expected one of"):
-            fl.parse_config("link.scheme = inline")
+        # the DCF lengths alone set the placement, so a file that names a scheme is rejected
+        with pytest.raises(fl.ConfigError, match=r"line 1: unknown key 'link.scheme'"):
+            fl.parse_config("link.scheme = pre")
 
     def test_prbs_order_not_in_table(self):
         with pytest.raises(fl.ConfigError, match=r"must be one of \(7, 9, 11, 15, 23, 31\), got 8"):
@@ -270,8 +265,8 @@ class TestValidationErrors:
         assert issubclass(fl.ConfigError, ValueError)
 
     def test_known_keys_inventory(self):
-        assert len(KNOWN_KEYS) == 33
-        assert "link.scheme" in KNOWN_KEYS
+        assert len(KNOWN_KEYS) == 31
+        assert "link.scheme" not in KNOWN_KEYS and "dcf.length_km" not in KNOWN_KEYS
         assert all("." in key for key in KNOWN_KEYS)
 
 

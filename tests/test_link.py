@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
-from fiberlink import link, metrics
+from fiberlink import cli, link, metrics
 from fiberlink.fiber import AmplifierParams, FiberParams, PropagationError
 
 from conftest import small_link_config
@@ -20,7 +21,7 @@ def labels(topology):
 
 class TestBuildLink:
     def test_symmetric_order(self):
-        topo = fl.build_link("symmetric", 24.0, 24.0)
+        topo = fl.build_link(24.0, 24.0)
         assert labels(topo) == [
             "DCF-pre", "AMP", "SMF", "AMP", "SMF", "AMP", "DCF-post", "AMP",
         ]
@@ -29,43 +30,34 @@ class TestBuildLink:
         assert [f.dispersion_ps_nm_km for f in fibers] == [-80.0, 16.0, 16.0, -80.0]
 
     def test_pre_order(self):
-        topo = fl.build_link("pre", 48.0, 0.0)
+        topo = fl.build_link(48.0, 0.0)
         assert labels(topo) == ["DCF-pre", "AMP", "SMF", "AMP", "SMF", "AMP"]
 
     def test_post_order(self):
-        topo = fl.build_link("post", 0.0, 48.0)
+        topo = fl.build_link(0.0, 48.0)
         assert labels(topo) == ["SMF", "AMP", "SMF", "AMP", "DCF-post", "AMP"]
 
     def test_span_count(self):
-        topo = fl.build_link("post", 0.0, 12.0, n_smf_spans=4)
+        topo = fl.build_link(0.0, 12.0, n_smf_spans=4)
         assert labels(topo).count("SMF") == 4
 
     def test_every_fiber_followed_by_amplifier(self):
-        topo = fl.build_link("symmetric", 30.0, 24.0, n_smf_spans=3)
+        topo = fl.build_link(30.0, 24.0, n_smf_spans=3)
         elements = topo.elements
         for i, el in enumerate(elements):
             if isinstance(el, FiberParams):
                 assert isinstance(elements[i + 1], AmplifierParams)
 
-    def test_scheme_length_consistency(self):
-        with pytest.raises(ValueError, match="pre-compensation"):
-            fl.build_link("pre", 24.0, 24.0)
-        with pytest.raises(ValueError, match="pre-compensation"):
-            fl.build_link("pre", 0.0, 0.0)
-        with pytest.raises(ValueError, match="post-compensation"):
-            fl.build_link("post", 24.0, 24.0)
-        with pytest.raises(ValueError, match="symmetric"):
-            fl.build_link("symmetric", 24.0, 0.0)
-
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError, match="scheme"):
-            fl.build_link("inline", 24.0, 24.0)
-
     def test_rejects_negative_lengths_and_spans(self):
         with pytest.raises(ValueError):
-            fl.build_link("symmetric", -1.0, 24.0)
+            fl.build_link(-1.0, 24.0)
         with pytest.raises(ValueError):
-            fl.build_link("symmetric", 24.0, 24.0, n_smf_spans=0)
+            fl.build_link(24.0, 24.0, n_smf_spans=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="DCF lengths must satisfy 0 <= l < inf"):
+                fl.build_link(24.0, bad)
+            with pytest.raises(ValueError, match="DCF lengths must satisfy 0 <= l < inf"):
+                fl.LinkConfig(pre_length_km=bad)
 
     def test_topology_requires_smf(self):
         with pytest.raises(ValueError, match="SMF"):
@@ -78,7 +70,7 @@ class TestDispersionAccounting:
         [(24.0, 24.0, 0.0), (30.0, 24.0, -480.0), (30.0, 30.0, -960.0), (35.0, 35.0, -1760.0)],
     )
     def test_residual_reference_points(self, pre, post, expected):
-        topo = fl.build_link("symmetric", pre, post)
+        topo = fl.build_link(pre, post)
         assert fl.residual_dispersion(topo) == pytest.approx(expected, abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
@@ -88,19 +80,19 @@ class TestDispersionAccounting:
         n=st.integers(1, 4),
     )
     def test_residual_additivity(self, pre, post, n):
-        topo = fl.build_link("symmetric", pre, post, n_smf_spans=n)
+        topo = fl.build_link(pre, post, n_smf_spans=n)
         expected = 16.0 * 120.0 * n - 80.0 * (pre + post)
         assert fl.residual_dispersion(topo) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_residual_only_at_24(self):
-        base = fl.residual_dispersion(fl.build_link("symmetric", 24.0, 24.0))
+        base = fl.residual_dispersion(fl.build_link(24.0, 24.0))
         assert base == 0.0
         for l in (23.9, 24.1, 20.0, 30.0):
-            topo = fl.build_link("symmetric", l, l)
+            topo = fl.build_link(l, l)
             assert fl.residual_dispersion(topo) != 0.0
 
     def test_profile_breakpoints_default(self):
-        topo = fl.build_link("symmetric", 24.0, 24.0)
+        topo = fl.build_link(24.0, 24.0)
         profile = fl.dispersion_profile(topo)
         assert profile == [
             (0.0, 0.0),
@@ -111,14 +103,14 @@ class TestDispersionAccounting:
         ]
 
     def test_profile_starts_at_origin_and_ends_at_residual(self):
-        topo = fl.build_link("symmetric", 35.0, 35.0)
+        topo = fl.build_link(35.0, 35.0)
         profile = fl.dispersion_profile(topo)
         assert profile[0] == (0.0, 0.0)
         assert profile[-1][0] == pytest.approx(310.0)
         assert profile[-1][1] == pytest.approx(fl.residual_dispersion(topo))
 
     def test_profile_positions_strictly_increase(self):
-        topo = fl.build_link("post", 0.0, 48.0, n_smf_spans=3)
+        topo = fl.build_link(0.0, 48.0, n_smf_spans=3)
         positions = [p for p, _ in fl.dispersion_profile(topo)]
         assert positions == sorted(positions)
         assert len(set(positions)) == len(positions)
@@ -146,10 +138,6 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match="[Nn]yquist"):
             dataclasses.replace(fl.LinkConfig(), rx=fl.RxConfig(bessel_bandwidth=200e9))
 
-    def test_rejects_bad_scheme(self):
-        with pytest.raises(ValueError, match="scheme"):
-            fl.LinkConfig(scheme="iir")
-
     def test_replace_rejects_too_few_rail_bits(self):
         cfg = fl.LinkConfig()
         with pytest.raises(ValueError, match="too few bits for estimate_q"):
@@ -161,18 +149,16 @@ class TestLinkConfig:
         samples_per_bit=st.sampled_from([8, 16]),
         skip_bits=st.integers(0, 20),
         bandwidth_ghz=st.floats(1.0, 200.0),
-        scheme=st.sampled_from(fl.SCHEMES),
         pre=st.sampled_from([0.0, 2.4]),
         post=st.sampled_from([0.0, 2.4]),
     )
     def test_every_config_that_constructs_runs(
-        self, n_bits, samples_per_bit, skip_bits, bandwidth_ghz, scheme, pre, post
+        self, n_bits, samples_per_bit, skip_bits, bandwidth_ghz, pre, post
     ):
         base = small_link_config()
         try:
             cfg = dataclasses.replace(
                 base,
-                scheme=scheme,
                 pre_length_km=pre,
                 post_length_km=post,
                 rx=dataclasses.replace(base.rx, bessel_bandwidth=bandwidth_ghz * 1e9),
@@ -251,28 +237,28 @@ class TestRunLink:
         assert fl.run_link_full(cfg).q == q
 
 
-# (pre lengths, post lengths, pairing) of small sweeps whose rows share work
+# (pre, post) DCF length pairs of small sweeps whose rows share work
 SHARED_SWEEPS = {
-    "cross": ((2.4, 3.0), (2.4, 3.0), "cross"),
-    "zip_repeat": ((2.4, 3.0, 2.4), (2.4, 2.4, 3.0), "zip"),
-    "duplicate": ((2.4, 2.4), (2.4, 2.4), "zip"),
-    "one_state_two_rows": ((2.4,), (2.4, 3.0, 3.6), "cross"),
+    "cross": list(itertools.product((2.4, 3.0), (2.4, 3.0))),
+    "zip_repeat": [(2.4, 2.4), (3.0, 2.4), (2.4, 3.0)],
+    "duplicate": [(2.4, 2.4), (2.4, 2.4)],
+    "one_state_two_rows": [(2.4, 2.4), (2.4, 3.0), (2.4, 3.6)],
+    "placements": [(2.4, 0.0), (0.0, 2.4), (0.0, 0.0)],
 }
 
 
-def ase_sweep(pre, post, pairing, **kwargs):
-    """A sweep with the transmitter, amplifier and receiver RNGs all live."""
-    cfg = small_link_config(**{"amp.ase": "true"})
-    return fl.SweepSpec(pre, post, cfg, pairing, **kwargs)
+def ase_config():
+    """A small link with the transmitter, amplifier and receiver RNGs all live."""
+    return small_link_config(**{"amp.ase": "true"})
 
 
-def single_run(spec, pre, post):
-    cfg = dataclasses.replace(spec.config, pre_length_km=pre, post_length_km=post)
+def single_run(config, pre, post):
+    cfg = dataclasses.replace(config, pre_length_km=pre, post_length_km=post)
     return fl.run_link_full(cfg)
 
 
-def assert_row_is_single_run(spec, row):
-    full = single_run(spec, row.pre_km, row.post_km)
+def assert_row_is_single_run(config, row):
+    full = single_run(config, row.pre_km, row.post_km)
     assert row.error is None
     assert row.residual_ps_nm == full.residual_ps_nm
     assert row.q_db == full.q.q_db
@@ -282,14 +268,7 @@ def assert_row_is_single_run(spec, row):
 
 class TestSweep:
     def test_zip_rows(self):
-        cfg = small_link_config()
-        spec = fl.SweepSpec(
-            pre_lengths_km=(2.4, 3.0),
-            post_lengths_km=(2.4, 2.4),
-            config=cfg,
-            pairing="zip",
-        )
-        rows = fl.sweep(spec)
+        rows = fl.sweep(small_link_config(), [(2.4, 2.4), (3.0, 2.4)])
         assert [(r.pre_km, r.post_km) for r in rows] == [(2.4, 2.4), (3.0, 2.4)]
         assert all(r.error is None for r in rows)
         assert rows[0].seed == rows[1].seed == 42
@@ -297,45 +276,27 @@ class TestSweep:
         assert rows[1].residual_ps_nm == pytest.approx(-48.0)
 
     def test_cross_pairs(self):
-        cfg = small_link_config()
-        spec = fl.SweepSpec(
-            pre_lengths_km=(2.4, 3.0),
-            post_lengths_km=(2.4, 3.0),
-            config=cfg,
-            pairing="cross",
-        )
-        assert spec.pairs() == [(2.4, 2.4), (2.4, 3.0), (3.0, 2.4), (3.0, 3.0)]
+        # A one-shot iterator, as `fiberlink sweep --pairing cross` passes it.
+        pairs = itertools.product((2.4, 3.0), (2.4, 3.0))
+        rows = fl.sweep(small_link_config(), pairs)
+        assert [(r.pre_km, r.post_km) for r in rows] == [
+            (2.4, 2.4), (2.4, 3.0), (3.0, 2.4), (3.0, 3.0),
+        ]
+        assert all(r.error is None for r in rows)
 
-    def test_zip_length_mismatch(self):
+    def test_zip_length_mismatch(self, monkeypatch, tmp_path):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("sweep ran despite the length mismatch")
+
+        monkeypatch.setattr(cli, "sweep", no_rows)
+        args = cli.build_parser().parse_args([
+            "sweep", "--pre", "1.0,2.0", "--post", "1.0", "--out", str(tmp_path),
+        ])
         with pytest.raises(ValueError, match="zip"):
-            fl.SweepSpec(
-                pre_lengths_km=(1.0, 2.0),
-                post_lengths_km=(1.0,),
-                config=small_link_config(),
-            )
-
-    def test_empty_lists_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            fl.SweepSpec(pre_lengths_km=(), post_lengths_km=(), config=small_link_config())
-
-    def test_bad_pairing_rejected(self):
-        with pytest.raises(ValueError, match="pairing"):
-            fl.SweepSpec(
-                pre_lengths_km=(1.0,),
-                post_lengths_km=(1.0,),
-                config=small_link_config(),
-                pairing="diagonal",
-            )
+            cli.cmd_sweep(args)
 
     def test_row_failure_is_isolated(self):
-        cfg = small_link_config()
-        spec = fl.SweepSpec(
-            pre_lengths_km=(2.4, -5.0, 3.0),
-            post_lengths_km=(2.4, 2.4, 2.4),
-            config=cfg,
-            pairing="zip",
-        )
-        rows = fl.sweep(spec)
+        rows = fl.sweep(small_link_config(), [(2.4, 2.4), (-5.0, 2.4), (3.0, 2.4)])
         assert rows[0].error is None and rows[2].error is None
         assert rows[1].error is not None
         assert rows[1].q_db is None and rows[1].ber is None
@@ -343,26 +304,20 @@ class TestSweep:
 
     def test_per_row_seeds_distinct_and_deterministic(self):
         cfg = small_link_config()
-        spec = fl.SweepSpec(
-            pre_lengths_km=(2.4, 2.4),
-            post_lengths_km=(2.4, 2.4),
-            config=cfg,
-            pairing="zip",
-            per_row_seeds=True,
-        )
-        rows_a = fl.sweep(spec)
-        rows_b = fl.sweep(spec)
+        pairs = [(2.4, 2.4), (2.4, 2.4)]
+        rows_a = fl.sweep(cfg, pairs, per_row_seeds=True)
+        rows_b = fl.sweep(cfg, pairs, per_row_seeds=True)
         assert rows_a[0].seed != rows_a[1].seed
         assert [r.seed for r in rows_a] == [r.seed for r in rows_b]
         assert [r.q_db for r in rows_a] == [r.q_db for r in rows_b]
 
     @pytest.mark.parametrize("name", list(SHARED_SWEEPS))
     def test_rows_equal_single_runs(self, name):
-        spec = ase_sweep(*SHARED_SWEEPS[name])
-        rows = fl.sweep(spec)
-        assert [(r.pre_km, r.post_km) for r in rows] == spec.pairs()
+        config, pairs = ase_config(), SHARED_SWEEPS[name]
+        rows = fl.sweep(config, pairs)
+        assert [(r.pre_km, r.post_km) for r in rows] == pairs
         for row in rows:
-            assert_row_is_single_run(spec, row)
+            assert_row_is_single_run(config, row)
 
     @pytest.mark.parametrize(
         "per_row_seeds,counts", [(False, (10, 10, 1)), (True, (16, 16, 4))]
@@ -379,16 +334,17 @@ class TestSweep:
 
         for name in ("propagate_fiber", "amplify", "transmit"):
             monkeypatch.setattr(link, name, counting(name, getattr(link, name)))
-        rows = fl.sweep(ase_sweep(*SHARED_SWEEPS["cross"], per_row_seeds=per_row_seeds))
+        rows = fl.sweep(ase_config(), SHARED_SWEEPS["cross"], per_row_seeds=per_row_seeds)
         assert all(r.error is None for r in rows)
         assert (calls["propagate_fiber"], calls["amplify"], calls["transmit"]) == counts
 
     def test_build_failure_in_shared_group(self):
-        spec = ase_sweep((2.4,), (0.0, 2.4), "cross")
-        rows = fl.sweep(spec)
-        assert rows[0].error.startswith("ValueError: symmetric compensation")
+        # 200,000 steps of 1 km in the post DCF: rejected when the row's LinkConfig is built
+        config = ase_config()
+        rows = fl.sweep(config, [(2.4, 200_000.0), (2.4, 2.4)])
+        assert rows[0].error.startswith("ValueError: DCF-post of 200000.0 km at step_km = 1.0")
         assert rows[0].q_db is None
-        assert_row_is_single_run(spec, rows[1])
+        assert_row_is_single_run(config, rows[1])
 
     def test_propagation_error_in_shared_group(self, monkeypatch):
         propagate = link.propagate_fiber
@@ -399,11 +355,11 @@ class TestSweep:
             return propagate(field, fiber, options)
 
         monkeypatch.setattr(link, "propagate_fiber", failing_smf)
-        spec = ase_sweep(*SHARED_SWEEPS["cross"])
+        config, pairs = ase_config(), SHARED_SWEEPS["cross"]
         with pytest.raises(PropagationError) as info:
-            single_run(spec, 2.4, 2.4)
+            single_run(config, 2.4, 2.4)
         expected = f"PropagationError: {info.value}"
         assert expected.startswith("PropagationError: element 2 (SMF): ")
-        rows = fl.sweep(spec)
-        assert [(r.pre_km, r.post_km) for r in rows] == spec.pairs()
+        rows = fl.sweep(config, pairs)
+        assert [(r.pre_km, r.post_km) for r in rows] == pairs
         assert [r.error for r in rows] == [expected] * len(rows)

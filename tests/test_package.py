@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import importlib
 import platform
+import re
 import subprocess
 import sys
 
@@ -65,6 +66,13 @@ def test_all_is_the_module_lists():
     ]
     assert len(set(fl.__all__)) == len(fl.__all__)
     assert all(hasattr(fl, name) for name in fl.__all__)
+
+
+def test_readme_counts_the_public_names():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"`fl\.__all__` lists the public names \((\d+)\)", readme)
+    assert stated is not None
+    assert int(stated.group(1)) == len(fl.__all__)
 
 
 def test_cli_import_loads_no_scipy():
