@@ -13,6 +13,7 @@ dB/km, 1/(W km) — and are converted to SI internally.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "d_to_beta2",
     "loss_db_to_alpha",
     "propagate_fiber",
+    "propagate_span",
     "amplify",
 ]
 
@@ -164,6 +166,10 @@ class SsfmOptions:
             )
         return int(n)
 
+    def fixed_step_m(self, fiber: FiberParams) -> float:
+        """The fixed-mode step dz of ``fiber``, in meters."""
+        return fiber.length_km * 1e3 / self.fixed_steps(fiber)
+
 
 def propagate_fiber(
     field: OpticalField,
@@ -186,9 +192,33 @@ def propagate_fiber(
     ``delta > local_error`` and grows by 2^(1/3) when ``delta < local_error / 2``.
     The first trial spans the whole fiber. The total distance integrated is
     ``fiber.length_km``. The input field is left untouched.
+
+    This is :func:`propagate_span` from step 0.
+    """
+    return propagate_span(field, fiber, options)
+
+
+def propagate_span(
+    field: OpticalField,
+    fiber: FiberParams,
+    options: SsfmOptions | None = None,
+    start: tuple[np.ndarray, int] | None = None,
+    keep: Callable[[tuple[np.ndarray, int]], None] | None = None,
+) -> OpticalField:
+    """:func:`propagate_fiber`, resuming a fixed-step span mid-way or keeping its end.
+
+    At fixed steps the first n steps of a span are those of any longer span of
+    the same fiber, apart from its length, with the same step dz. ``start =
+    (spectrum, k)`` is the unclosed spectrum after k <= n steps of such a span
+    from the same input: the loop resumes at step k and reads only the grid of
+    ``field``. ``keep`` is called with the unclosed spectrum after the last
+    step and the step count, a ``start`` for a longer span. Adaptive steps
+    depend on the length, so adaptive mode does neither.
     """
     if options is None:
         options = SsfmOptions()
+    if options.step_km is None and (start or keep):
+        raise ValueError("only a fixed-step span can resume or be kept")
     grid = field.grid
     length_m = fiber.length_km * 1e3
     if length_m == 0.0:
@@ -210,7 +240,7 @@ def propagate_fiber(
     # 32 MiB), so the scratch and this call's own buffers, each one field size
     # or less, are reused from the heap instead. The block is never touched.
     np.empty(min(8 * field.samples.nbytes, 16 << 20), np.uint8)
-    spec = np.fft.fft(field.samples)
+    spec = np.fft.fft(field.samples) if start is None else start[0].copy()
     power = np.empty(spec.shape)
     rotation = np.empty_like(spec)
     half = np.empty_like(spec)
@@ -249,9 +279,9 @@ def propagate_fiber(
         np.multiply(half, half, out=full)
 
     if options.step_km is not None:
-        dz = length_m / n_steps
+        dz = options.fixed_step_m(fiber)
         set_ops(dz)
-        for k in range(n_steps):
+        for k in range(start[1] if start else 0, n_steps):
             if not split_step(spec, spec, full if k else half, dz):
                 raise PropagationError(
                     f"non-finite field at z = {(k + 1) * dz / 1e3:.3f} km in "
@@ -259,8 +289,12 @@ def propagate_fiber(
                 )
         # The last Kerr step left the field finite and already applied this half
         # (inside full), and |half| <= 1, so the closing half step cannot make
-        # it non-finite.
-        spec *= half
+        # it non-finite. A kept spectrum stays unclosed.
+        if keep:
+            keep((spec, n_steps))
+            spec = spec * half
+        else:
+            spec *= half
         return OpticalField(np.fft.ifft(spec, out=spec), grid)
 
     tol = options.local_error

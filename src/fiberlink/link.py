@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .fiber import (
     SsfmOptions,
     amplify,
     propagate_fiber,
+    propagate_span,
 )
 from .metrics import MIN_RAIL_BITS, QResult, estimate_q
 from .receiver import RxConfig, receive
@@ -52,8 +54,9 @@ DEFAULT_SMF = FiberParams(
     gamma_per_w_km=1.26677,
     label="SMF",
 )
+# The DCF's parameters; its lengths are LinkConfig's pre/post_length_km.
 DEFAULT_DCF = FiberParams(
-    length_km=24.0,
+    length_km=0.0,
     dispersion_ps_nm_km=-80.0,
     loss_db_km=0.6,
     gamma_per_w_km=1.8,
@@ -161,7 +164,7 @@ class LinkConfig:
 
     ``pre_length_km``/``post_length_km`` are the DCF sides passed to
     :func:`build_link`; ``dcf`` supplies the other DCF parameters, and its own
-    ``length_km`` is not used. Construction checks what the modules must agree
+    ``length_km`` must be 0. Construction checks what the modules must agree
     on: the topology, the fixed-mode step count of each span, the sampling
     grid, the receive filter against the grid's Nyquist frequency, and enough
     bits of each value for ``estimate_q``.
@@ -170,14 +173,19 @@ class LinkConfig:
     n_smf_spans: int = 2
     smf: FiberParams = DEFAULT_SMF
     dcf: FiberParams = DEFAULT_DCF
-    pre_length_km: float = DEFAULT_DCF.length_km
-    post_length_km: float = DEFAULT_DCF.length_km
+    pre_length_km: float = 24.0
+    post_length_km: float = 24.0
     tx: TxConfig = field(default_factory=TxConfig)
     rx: RxConfig = field(default_factory=RxConfig)
     amp: AmplifierParams = field(default_factory=AmplifierParams)
     sim: SimSettings = field(default_factory=SimSettings)
 
     def __post_init__(self) -> None:
+        if self.dcf.length_km != 0:
+            raise ValueError(
+                f"dcf.length_km must be 0, got {self.dcf.length_km}: the DCF lengths are "
+                "pre_length_km and post_length_km"
+            )
         topology = self.resolve_topology()
         if self.sim.ssfm.step_km is not None:
             for fiber in topology.fibers():
@@ -249,12 +257,18 @@ def _transmit(
 def _walk(
     field_: OpticalField, amp_rng: np.random.Generator, topology: LinkTopology,
     ssfm: SsfmOptions, start: int = 0,
+    spans: Mapping[int, Callable[[OpticalField], OpticalField]] | None = None,
 ) -> Iterator[tuple[int, OpticalField]]:
-    """Yield ``(k, field)`` at each point ``k`` of the chain, from ``start`` to its end."""
+    """Yield ``(k, field)`` at each point ``k`` of the chain, from ``start`` to its end.
+
+    ``spans`` may map a fiber's index to the function that propagates it instead.
+    """
     yield start, field_
     for index, element in enumerate(topology.elements[start:], start):
         try:
-            if isinstance(element, FiberParams):
+            if spans and index in spans:
+                field_ = spans[index](field_)
+            elif isinstance(element, FiberParams):
                 field_ = propagate_fiber(field_, element, ssfm)
             else:
                 field_ = amplify(field_, element, amp_rng)
@@ -316,13 +330,20 @@ def sweep(
     the dispersion map alone; ``per_row_seeds`` derives a distinct child seed
     per row instead, which turns the sharing below off. Rows run in order, each
     resuming from the state at the end of the longest element-chain prefix it
-    shares with an earlier row of its seed, and each still equals
-    ``run_link_full`` of its config.
+    shares with an earlier row of its seed. A fixed-step fiber span resumes
+    mid-way after an earlier row's span with the same prefix, the same fiber
+    apart from its length and the same step dz (see :func:`propagate_span`);
+    adaptive spans, and spans shorter than one already run, run whole. Each
+    row still equals ``run_link_full`` of its config.
     """
     plan: list[tuple[float, float, int, tuple | Exception]] = []
-    # A prefix's state (bits, field, amplifier RNG) is kept until its last resuming row.
+    # A prefix's state (bits, field, amplifier RNG), or a span group's unclosed
+    # spectrum and step count, is kept until its last resuming row.
     seen: set[tuple] = set()
     last_use: dict[tuple, int] = {}
+    # Steps of the longest span so far in each group: same prefix, same fiber
+    # apart from its length, same fixed step dz.
+    ends: dict[tuple, int] = {}
     for index, (pre, post) in enumerate(pairs):
         seed = config.sim.seed
         if per_row_seeds:
@@ -335,23 +356,44 @@ def sweep(
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
             plan.append((pre, post, seed, exc))
             continue
-        plan.append((pre, post, seed, (cfg, grid, topology, keys)))
         shared = [key for key in keys if key in seen]
         if shared:
             last_use[shared[-1]] = index
         seen.update(keys)
+        ssfm, spans = cfg.sim.ssfm, {}
+        for k in range(max(len(shared) - 1, 0), len(topology.elements)):
+            fiber = topology.elements[k]
+            if ssfm.step_km is None or not isinstance(fiber, FiberParams):
+                continue
+            group = (keys[k], dataclasses.replace(fiber, length_km=0.0), ssfm.fixed_step_m(fiber))
+            steps, end = ssfm.fixed_steps(fiber), ends.get(group, 0)
+            resumes = 0 < end <= steps
+            if resumes:
+                last_use[group] = index
+            spans[k] = (group, fiber, resumes, steps > end)
+            ends[group] = max(end, steps)
+        plan.append((pre, post, seed, (cfg, grid, topology, keys, spans)))
 
     rows: list[SweepRow] = []
-    saved: dict[tuple, tuple[BitSequence, OpticalField, np.random.Generator]] = {}
+    saved: dict[tuple, tuple] = {}
     for index, (pre, post, seed, built) in enumerate(plan):
         try:
             if isinstance(built, Exception):
                 raise built
-            cfg, grid, topology, keys = built
+            cfg, grid, topology, keys, spans = built
             start = max((k for k, key in enumerate(keys) if key in saved), default=0)
             bits, field_, amp_rng = saved.get(keys[start]) or _transmit(cfg, grid)
             amp_rng = copy.deepcopy(amp_rng)  # later rows may resume from the same state
-            for k, field_ in _walk(field_, amp_rng, topology, cfg.sim.ssfm, start):
+            runners = {}
+            for k, (group, fiber, resumes, extends) in spans.items():
+                span = saved.get(group) if resumes else None
+                keep = extends and last_use.get(group, index) > index
+                if span or keep:
+                    runners[k] = functools.partial(
+                        propagate_span, fiber=fiber, options=cfg.sim.ssfm, start=span,
+                        keep=functools.partial(saved.__setitem__, group) if keep else None,
+                    )
+            for k, field_ in _walk(field_, amp_rng, topology, cfg.sim.ssfm, start, runners):
                 if last_use.get(keys[k], index) > index and keys[k] not in saved:
                     saved[keys[k]] = (bits, field_, copy.deepcopy(amp_rng))
             r = _finish(cfg, grid, topology, bits, field_)

@@ -29,7 +29,7 @@ class TestDefaults:
         assert cfg.n_smf_spans == 2
         assert (cfg.smf.length_km, cfg.smf.dispersion_ps_nm_km) == (120.0, 16.0)
         assert (cfg.smf.loss_db_km, cfg.smf.gamma_per_w_km) == (0.2, 1.26677)
-        assert (cfg.dcf.length_km, cfg.dcf.dispersion_ps_nm_km) == (24.0, -80.0)
+        assert (cfg.dcf.length_km, cfg.dcf.dispersion_ps_nm_km) == (0.0, -80.0)
         assert (cfg.dcf.loss_db_km, cfg.dcf.gamma_per_w_km) == (0.6, 1.8)
         assert cfg.pre_length_km == 24.0 and cfg.post_length_km == 24.0
         assert cfg.tx.bit_rate == 10e9

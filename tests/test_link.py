@@ -134,6 +134,11 @@ class TestLinkConfig:
         )
         assert cfg.resolve_amplifier().target_dbm == -2.0
 
+    def test_rejects_dcf_length(self):
+        dcf = dataclasses.replace(fl.LinkConfig().dcf, length_km=30.0)
+        with pytest.raises(ValueError, match="are pre_length_km and post_length_km"):
+            fl.LinkConfig(dcf=dcf)
+
     def test_validate_rejects_oversized_filter(self):
         with pytest.raises(ValueError, match="[Nn]yquist"):
             dataclasses.replace(fl.LinkConfig(), rx=fl.RxConfig(bessel_bandwidth=200e9))
@@ -244,6 +249,13 @@ SHARED_SWEEPS = {
     "duplicate": [(2.4, 2.4), (2.4, 2.4)],
     "one_state_two_rows": [(2.4, 2.4), (2.4, 3.0), (2.4, 3.6)],
     "placements": [(2.4, 0.0), (0.0, 2.4), (0.0, 0.0)],
+    # Whole-km DCF sides at step_km = 1 share dz = 1 km, so their spans resume
+    # mid-way; 2.4 km takes 3 steps of 0.8 km and shares no span.
+    "ascending_spans": [(2.0, 2.0), (2.0, 3.0), (2.0, 4.0), (3.0, 2.0), (4.0, 4.0)],
+    "descending_spans": [(4.0, 4.0), (4.0, 3.0), (4.0, 2.0), (2.0, 2.0)],
+    # The 3 km row comes after the 4 km span and must not resume from it.
+    "unordered_spans": [(2.0, 2.0), (4.0, 2.0), (3.0, 2.0), (5.0, 2.0)],
+    "mixed_step_spans": list(itertools.product((2.0, 3.0, 4.0), (2.0, 2.4, 3.0))),
 }
 
 
@@ -338,6 +350,32 @@ class TestSweep:
         assert all(r.error is None for r in rows)
         assert (calls["propagate_fiber"], calls["amplify"], calls["transmit"]) == counts
 
+    def test_ascending_spans_run_each_step_once(self, monkeypatch):
+        # Each distinct span (same prefix, same fiber apart from its length) is
+        # integrated once, to its longest length: one forward FFT in and one per
+        # step. Transmit and receive add none (they use rfft).
+        config, pairs = ase_config(), SHARED_SWEEPS["ascending_spans"]
+        longest = {}
+        for pre, post in pairs:
+            cfg = dataclasses.replace(config, pre_length_km=pre, post_length_km=post)
+            elements = cfg.resolve_topology().elements
+            for k, element in enumerate(elements):
+                if isinstance(element, FiberParams):
+                    span = (elements[:k], dataclasses.replace(element, length_km=0.0))
+                    steps = config.sim.ssfm.fixed_steps(element)
+                    longest[span] = max(longest.get(span, 0), steps)
+        ffts = []
+        fft = np.fft.fft
+
+        def counting(*args, **kwargs):
+            ffts.append("fft")
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting)
+        rows = fl.sweep(config, pairs)
+        assert all(r.error is None for r in rows)
+        assert len(ffts) == sum(1 + steps for steps in longest.values())
+
     def test_build_failure_in_shared_group(self):
         # 200,000 steps of 1 km in the post DCF: rejected when the row's LinkConfig is built
         config = ase_config()
@@ -363,3 +401,33 @@ class TestSweep:
         rows = fl.sweep(config, pairs)
         assert [(r.pre_km, r.post_km) for r in rows] == pairs
         assert [r.error for r in rows] == [expected] * len(rows)
+
+    def test_propagation_error_in_resumed_span(self, monkeypatch):
+        # The (2, 4) row resumes the post DCF after the 2 steps of the (2, 2) row.
+        # Its third step is made non-finite by the Kerr phase it computes, which
+        # the single run and the resumed span compute bit for bit alike.
+        config = ase_config()
+        phases = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def max(self, a):
+                phase = np.max(a)
+                phases.append(phase)
+                return np.inf if phase == failing else phase
+
+        failing = None
+        monkeypatch.setattr(fl.fiber, "np", Numpy())
+        single_run(config, 2.0, 4.0)
+        failing = phases[-2]  # the post DCF's 4 steps are the last
+        with pytest.raises(PropagationError) as info:
+            single_run(config, 2.0, 4.0)
+        expected = f"PropagationError: {info.value}"
+        assert expected.startswith(
+            "PropagationError: element 6 (DCF-post): non-finite field at z = 3.000 km"
+        )
+        rows = fl.sweep(config, [(2.0, 2.0), (2.0, 4.0)])
+        assert_row_is_single_run(config, rows[0])
+        assert rows[1].error == expected
