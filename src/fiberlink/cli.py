@@ -70,7 +70,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         result.seed,
     )
     (out_dir / "result.csv").write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
-    (out_dir / "eye.txt").write_text(format_eye(result.q.eye), encoding="utf-8")
+    with open(out_dir / "eye.txt", "w", encoding="utf-8") as eye_file:
+        format_eye(result.q.eye, eye_file)
     print(f"q_db = {_fmt(q.q_db)}")
     print(f"ber = {_fmt(q.ber)}")
     print(f"jitter_ns = {_fmt(q.jitter_ns)}")

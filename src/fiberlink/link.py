@@ -166,8 +166,8 @@ class LinkConfig:
     :func:`build_link`; ``dcf`` supplies the other DCF parameters, and its own
     ``length_km`` must be 0. Construction checks what the modules must agree
     on: the topology, the fixed-mode step count of each span, the sampling
-    grid, the receive filter against the grid's Nyquist frequency, and enough
-    bits of each value for ``estimate_q``.
+    grid, the receive filter against the grid's Nyquist frequency, the laser
+    phase noise per sample, and enough bits of each value for ``estimate_q``.
     """
 
     n_smf_spans: int = 2
@@ -195,6 +195,12 @@ class LinkConfig:
             raise ValueError(
                 f"rx bessel_bandwidth {self.rx.bessel_bandwidth:.6g} Hz must be below "
                 f"the grid Nyquist frequency {0.5 * grid.sample_rate:.6g} Hz"
+            )
+        variance = 2.0 * math.pi * self.tx.linewidth_hz * grid.dt
+        if not variance <= 1.0:
+            raise ValueError(
+                f"tx linewidth_hz {self.tx.linewidth_hz:.6g} Hz gives a phase-noise variance "
+                f"2*pi*linewidth*dt of {variance:.6g} rad^2 per sample, above 1 rad^2"
             )
         pattern = prbs_generate(self.tx.prbs_order, DEFAULT_LFSR_SEED, self.sim.n_bits)
         n_ones = int(np.count_nonzero(pattern.bits[self.sim.skip_bits :]))

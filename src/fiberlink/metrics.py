@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -240,15 +241,15 @@ def estimate_q(
     )
 
 
-def format_eye(eye: EyeDiagram) -> str:
-    """Plain-text eye dump: one row per (trace, sample) point.
+def format_eye(eye: EyeDiagram, out: TextIO) -> None:
+    """Write the plain-text eye dump to ``out``: one row per (trace, sample) point.
 
-    Columns: trace_index, sample_index, time within the UI, amplitude.
+    Columns: trace_index, sample_index, time within the UI, amplitude. Each
+    trace is one ``out.write``, so the dump is never held whole in memory.
     """
     spb = eye.grid.samples_per_bit
-    lines = ["# trace sample time_ui amplitude"]
+    heads = [f" {si} {si / spb!r} " for si in range(spb)]
+    out.write("# trace sample time_ui amplitude\n")
     for ti in range(eye.traces.shape[0]):
-        row = eye.traces[ti]
-        for si in range(spb):
-            lines.append(f"{ti} {si} {si / spb!r} {float(row[si])!r}")
-    return "\n".join(lines) + "\n"
+        row = eye.traces[ti].tolist()
+        out.write("".join([f"{ti}{head}{value!r}\n" for head, value in zip(heads, row)]))

@@ -44,6 +44,9 @@ PRBS_TAPS: dict[int, tuple[int, int]] = {
 # same maximal-length cycle, just rotated.
 DEFAULT_LFSR_SEED = 1
 
+# Carrier wavelengths a TxConfig accepts, in meters: the O band through the U band.
+WAVELENGTH_RANGE = (1260e-9, 1675e-9)
+
 
 @dataclass(frozen=True, slots=True)
 class BitSequence:
@@ -75,8 +78,9 @@ class TxConfig:
     def __post_init__(self) -> None:
         if not (self.bit_rate > 0 and np.isfinite(self.bit_rate)):
             raise ValueError(f"bit_rate must be positive, got {self.bit_rate}")
-        if not (self.wavelength > 0 and np.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        low, high = WAVELENGTH_RANGE
+        if not low <= self.wavelength <= high:
+            raise ValueError(f"wavelength must lie in [{low}, {high}] m, got {self.wavelength}")
         if not finite_db(self.launch_power_dbm):
             raise ValueError(f"launch_power_dbm must be finite in W, got {self.launch_power_dbm}")
         if self.linewidth_hz < 0 or not np.isfinite(self.linewidth_hz):

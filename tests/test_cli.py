@@ -140,6 +140,29 @@ class TestRun:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "result.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("tx.wavelength_nm = 1e-6", "wavelength must lie in"),
+            ("tx.linewidth_mhz = 1e12", "linewidth_hz 1e+18 Hz"),
+        ],
+        ids=["wavelength", "linewidth"],
+    )
+    def test_out_of_range_laser_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "laser.cfg"
+        cfg.write_text(text + "\n", encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
+
+    def test_unwritable_eye_file_exits_2(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "eye.txt").mkdir(parents=True)
+        rc = main(["run", "--config", cfg_file, "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_removed_nonlinear_phase_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "nl.cfg"
         cfg.write_text("sim.max_nl_phase_rad = 0.05\n", encoding="utf-8")

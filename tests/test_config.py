@@ -261,6 +261,34 @@ class TestValidationErrors:
         with pytest.raises(fl.ConfigError, match=r"local_error must lie in \[1e-08, 0\.001\]"):
             fl.parse_config(f"sim.local_error = {value}")
 
+    @pytest.mark.parametrize("value", ["1e-6", "1259.99", "1675.01", "1e30"])
+    def test_wavelength_outside_o_to_u_band_rejected(self, value):
+        with pytest.raises(fl.ConfigError, match=r"wavelength must lie in \[1\.26e-06, 1\.675e-06\] m"):
+            fl.parse_config(f"tx.wavelength_nm = {value}")
+
+    def test_wavelength_band_edges_admitted(self):
+        assert fl.parse_config("tx.wavelength_nm = 1260").tx.wavelength == 1260e-9
+        assert fl.parse_config("tx.wavelength_nm = 1675").tx.wavelength == 1675e-9
+
+    @pytest.mark.parametrize(
+        ("text", "admitted"),
+        [
+            # 2*pi*linewidth*dt reaches 1 rad^2 at 50.93 GHz on the default 320 GS/s grid
+            ("tx.linewidth_mhz = 50929", True),
+            ("tx.linewidth_mhz = 50930", False),
+            ("tx.linewidth_mhz = 1e12", False),
+            # and at 12.73 GHz on an 80 GS/s grid
+            ("sim.samples_per_bit = 8\ntx.linewidth_mhz = 12732", True),
+            ("sim.samples_per_bit = 8\ntx.linewidth_mhz = 12733", False),
+        ],
+    )
+    def test_linewidth_above_one_rad2_per_sample_rejected(self, text, admitted):
+        if admitted:
+            fl.parse_config(text)
+        else:
+            with pytest.raises(fl.ConfigError, match=r"tx linewidth_hz .* above 1 rad\^2"):
+                fl.parse_config(text)
+
     def test_config_error_is_value_error(self):
         assert issubclass(fl.ConfigError, ValueError)
 

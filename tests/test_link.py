@@ -143,6 +143,10 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match="[Nn]yquist"):
             dataclasses.replace(fl.LinkConfig(), rx=fl.RxConfig(bessel_bandwidth=200e9))
 
+    def test_rejects_linewidth_over_one_rad2_per_sample(self):
+        with pytest.raises(ValueError, match="linewidth_hz 1e\\+18 Hz"):
+            dataclasses.replace(fl.LinkConfig(), tx=fl.TxConfig(linewidth_hz=1e18))
+
     def test_replace_rejects_too_few_rail_bits(self):
         cfg = fl.LinkConfig()
         with pytest.raises(ValueError, match="too few bits for estimate_q"):

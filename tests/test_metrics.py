@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,7 +90,9 @@ class TestFoldEye:
         wave = fl.ElectricalWaveform(ideal_nrz(bits.bits, GRID), GRID)
         eye = fl.fold_eye(wave, skip_bits=8)
         assert eye.traces.shape == (56, 32)
-        times = [float(line.split()[2]) for line in fl.format_eye(eye).splitlines()[1:33]]
+        out = io.StringIO()
+        fl.format_eye(eye, out)
+        times = [float(line.split()[2]) for line in out.getvalue().splitlines()[1:33]]
         np.testing.assert_allclose(times, np.arange(32) / 32)
         assert not eye.degenerate
 
@@ -216,8 +221,9 @@ class TestFormatEye:
         bits = fl.prbs_generate(7, 1, 64)
         wave = fl.ElectricalWaveform(ideal_nrz(bits.bits, GRID), GRID)
         eye = fl.fold_eye(wave, skip_bits=8)
-        text = fl.format_eye(eye)
-        lines = text.strip().split("\n")
+        out = io.StringIO()
+        fl.format_eye(eye, out)
+        lines = out.getvalue().strip().split("\n")
         assert lines[0].startswith("#")
         assert len(lines) == 1 + 56 * 32
         first = lines[1].split()
@@ -225,6 +231,50 @@ class TestFormatEye:
         # numeric parse-back reproduces the trace matrix exactly
         vals = np.array([float(ln.split()[3]) for ln in lines[1:]]).reshape(56, 32)
         np.testing.assert_array_equal(vals, eye.traces)
+
+    @pytest.mark.parametrize(
+        ("n_bits", "skip_bits", "constant"),
+        [(64, 8, False), (16, 15, False), (64, 8, True)],
+        ids=["multi_trace", "one_trace", "degenerate"],
+    )
+    def test_bytes_match_joined_lines(self, n_bits, skip_bits, constant):
+        # the dump as one joined string per point: the streamed text must equal it byte for byte
+        grid = fl.SamplingGrid(10e9, n_bits, 32, 1550e-9)
+        rng = np.random.default_rng(3)
+        samples = np.full(grid.n_samples, 0.7) if constant else rng.standard_normal(grid.n_samples)
+        eye = fl.fold_eye(fl.ElectricalWaveform(samples, grid), skip_bits=skip_bits)
+        assert eye.degenerate == constant
+        spb = grid.samples_per_bit
+        expected = "\n".join(
+            ["# trace sample time_ui amplitude"]
+            + [
+                f"{ti} {si} {si / spb!r} {float(eye.traces[ti, si])!r}"
+                for ti in range(eye.traces.shape[0])
+                for si in range(spb)
+            ]
+        ) + "\n"
+        out = io.StringIO()
+        fl.format_eye(eye, out)
+        assert out.getvalue() == expected
+
+    def test_streams_without_holding_the_dump(self):
+        # 1,016 traces x 32 samples, the default grid: joined whole, the dump's strings
+        # hold > 2.9 MiB; streamed, only one trace's text is alive at a time
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        grid = fl.SamplingGrid(10e9, 1024, 32, 1550e-9)
+        samples = np.random.default_rng(4).standard_normal(grid.n_samples)
+        eye = fl.fold_eye(fl.ElectricalWaveform(samples, grid), skip_bits=8)
+        assert eye.traces.shape == (1016, 32)
+        tracemalloc.start()
+        try:
+            fl.format_eye(eye, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestQResultInvariants:

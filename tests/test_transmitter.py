@@ -286,3 +286,6 @@ class TestTransmit:
             fl.TxConfig(extinction_db=0.0)
         with pytest.raises(ValueError):
             fl.TxConfig(linewidth_hz=-1.0)
+        for wavelength in (1e-15, 1259e-9, 1676e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="wavelength must lie in"):
+                fl.TxConfig(wavelength=wavelength)
