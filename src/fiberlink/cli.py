@@ -69,9 +69,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         q.jitter_ns,
         result.seed,
     )
-    (out_dir / "result.csv").write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
     with open(out_dir / "eye.txt", "w", encoding="utf-8") as eye_file:
         format_eye(result.q.eye, eye_file)
+    # Last, so that a result.csv is only ever left by a run that wrote all its output.
+    (out_dir / "result.csv").write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
     print(f"q_db = {_fmt(q.q_db)}")
     print(f"ber = {_fmt(q.ber)}")
     print(f"jitter_ns = {_fmt(q.jitter_ns)}")

@@ -15,7 +15,7 @@ import copy
 import dataclasses
 import functools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,52 +251,89 @@ def _streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(3)
 
 
-def _transmit(
-    config: LinkConfig, grid: SamplingGrid
-) -> tuple[BitSequence, OpticalField, np.random.Generator]:
-    """The state before element 0: bits, transmitted field and a fresh amplifier RNG."""
-    tx_ss, amp_ss, _ = _streams(config.sim.seed)
-    bits, field_ = transmit(config.tx, grid, rng=np.random.default_rng(tx_ss))
-    return bits, field_, np.random.default_rng(amp_ss)
+def _step(
+    k: int, element: FiberParams | AmplifierParams, field_: OpticalField,
+    amp_rng: np.random.Generator, ssfm: SsfmOptions, start: tuple[np.ndarray, int] | None,
+    keep: functools.partial | None,
+) -> OpticalField:
+    """``field_`` through element ``k``; ``start`` and ``keep`` as in :func:`propagate_span`."""
+    try:
+        if isinstance(element, AmplifierParams):
+            return amplify(field_, element, amp_rng)
+        if start or keep:
+            return propagate_span(field_, element, ssfm, start, keep)
+        return propagate_fiber(field_, element, ssfm)
+    except PropagationError as exc:
+        raise PropagationError(f"element {k} ({element.label}): {exc}") from exc
 
 
-def _walk(
-    field_: OpticalField, amp_rng: np.random.Generator, topology: LinkTopology,
-    ssfm: SsfmOptions, start: int = 0,
-    spans: Mapping[int, Callable[[OpticalField], OpticalField]] | None = None,
-) -> Iterator[tuple[int, OpticalField]]:
-    """Yield ``(k, field)`` at each point ``k`` of the chain, from ``start`` to its end.
-
-    ``spans`` may map a fiber's index to the function that propagates it instead.
-    """
-    yield start, field_
-    for index, element in enumerate(topology.elements[start:], start):
-        try:
-            if spans and index in spans:
-                field_ = spans[index](field_)
-            elif isinstance(element, FiberParams):
-                field_ = propagate_fiber(field_, element, ssfm)
-            else:
-                field_ = amplify(field_, element, amp_rng)
-        except PropagationError as exc:
-            raise PropagationError(f"element {index} ({element.label}): {exc}") from exc
-        yield index + 1, field_
-
-
-def _finish(
-    config: LinkConfig, grid: SamplingGrid, topology: LinkTopology, bits: BitSequence,
-    field_: OpticalField,
-) -> LinkRunResult:
+def _finish(config: LinkConfig, bits: BitSequence, field_: OpticalField) -> LinkRunResult:
     received = receive(field_, config.rx, np.random.default_rng(_streams(config.sim.seed)[2]))
+    q, topology = estimate_q(received, bits, config.sim.skip_bits), config.resolve_topology()
     return LinkRunResult(
-        q=estimate_q(received, bits, config.sim.skip_bits),
-        bits=bits,
-        received=received,
-        grid=grid,
-        topology=topology,
-        residual_ps_nm=residual_dispersion(topology),
-        seed=config.sim.seed,
+        q, bits, received, config.grid(), topology, residual_dispersion(topology), config.sim.seed
     )
+
+
+def _leaves(node: tuple[dict, list[int]]) -> list[int]:
+    """The rows whose chains end at ``node`` or below it."""
+    return node[1] + [index for child in node[0].values() for index in _leaves(child)]
+
+
+def _walk(configs: dict[int, LinkConfig]) -> Iterator[tuple[int, LinkRunResult | Exception]]:
+    """Yield ``(index, result or exception)`` once for each row, walking its element chain.
+
+    The chains form a tree: one root per seed, whose edge is the transmitter,
+    and one child per distinct next element; a row ends at the node of its last
+    element. The tree is walked depth first, with a field held only where a
+    node branches and the amplifier RNG copied for every child but the last to
+    run. Siblings run in ascending length, so a fixed-step fiber resumes the
+    unclosed spectrum of a shorter sibling with the same fiber apart from its
+    length and the same step dz (see :func:`propagate_span`). An edge that
+    fails gives its exception to every row below it.
+    """
+    roots: dict[int, tuple[LinkConfig, tuple[dict, list[int]]]] = {}
+    for index, cfg in configs.items():
+        node = roots.setdefault(cfg.sim.seed, (cfg, ({}, [])))[1]
+        for element in cfg.resolve_topology().elements:
+            node = node[0].setdefault(element, ({}, []))
+        node[1].append(index)
+    # (k, element, node, bits, input field, RNG, the spans its siblings keep, span
+    # group, keep); a root's edge is the transmitter, given as its first row's config.
+    stack = [(-1, cfg, root, None, None, None, {}, None, None) for cfg, root in roots.values()]
+    stack.reverse()
+    while stack:
+        k, element, node, bits, field_, amp_rng, kept, group, keep = stack.pop()
+        try:
+            if isinstance(element, LinkConfig):
+                ssfm, (tx_ss, amp_ss, _) = element.sim.ssfm, _streams(element.sim.seed)
+                bits, field_ = transmit(element.tx, element.grid(), np.random.default_rng(tx_ss))
+                amp_rng = np.random.default_rng(amp_ss)
+            else:
+                field_ = _step(k, element, field_, amp_rng, ssfm, kept.pop(group, None), keep)
+        except Exception as exc:  # noqa: BLE001 - row-level fault isolation
+            yield from ((index, exc) for index in _leaves(node))
+            continue
+        for index in node[1]:
+            try:
+                yield index, _finish(configs[index], bits, field_)
+            except Exception as exc:  # noqa: BLE001 - row-level fault isolation
+                yield index, exc
+        # Pushed longest first, the children pop in ascending length, and the
+        # longest runs last on the RNG itself. A fixed-step fiber's span group is
+        # the fiber apart from its length and its dz; any other element is its own.
+        children = sorted(node[0].items(), key=lambda c: getattr(c[0], "length_km", 0.0))[::-1]
+        groups = [
+            (dataclasses.replace(el, length_km=0.0), ssfm.fixed_step_m(el))
+            if isinstance(el, FiberParams) and ssfm.step_km is not None else el
+            for el, _ in children
+        ]
+        kept = {}
+        for j, (el, child) in enumerate(children):
+            keeps = groups[j] in groups[:j]
+            keep = functools.partial(kept.__setitem__, groups[j]) if keeps else None
+            rng = copy.deepcopy(amp_rng) if j else amp_rng
+            stack.append((k + 1, el, child, bits, field_, rng, kept, groups[j], keep))
 
 
 def run_link_full(config: LinkConfig) -> LinkRunResult:
@@ -306,11 +343,10 @@ def run_link_full(config: LinkConfig) -> LinkRunResult:
     are derived from ``config.sim.seed``, so a run is a pure function of
     (config, seed).
     """
-    grid, topology = config.grid(), config.resolve_topology()
-    bits, field_, amp_rng = _transmit(config, grid)
-    for _, field_ in _walk(field_, amp_rng, topology, config.sim.ssfm):
-        pass
-    return _finish(config, grid, topology, bits, field_)
+    [(_, result)] = _walk({0: config})
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,6 +363,12 @@ class SweepRow:
     error: str | None = None
 
 
+def _sweep_row(pre: float, post: float, seed: int, r: LinkRunResult | Exception) -> SweepRow:
+    if isinstance(r, Exception):
+        return SweepRow(pre, post, None, None, None, None, seed, f"{type(r).__name__}: {r}")
+    return SweepRow(pre, post, r.residual_ps_nm, r.q.q_db, r.q.ber, r.q.jitter_ns, seed)
+
+
 def sweep(
     config: LinkConfig, pairs: Iterable[tuple[float, float]], per_row_seeds: bool = False
 ) -> list[SweepRow]:
@@ -334,79 +376,29 @@ def sweep(
 
     By default every row reuses ``config.sim.seed``, so Q differences reflect
     the dispersion map alone; ``per_row_seeds`` derives a distinct child seed
-    per row instead, which turns the sharing below off. Rows run in order, each
-    resuming from the state at the end of the longest element-chain prefix it
-    shares with an earlier row of its seed. A fixed-step fiber span resumes
-    mid-way after an earlier row's span with the same prefix, the same fiber
-    apart from its length and the same step dz (see :func:`propagate_span`);
-    adaptive spans, and spans shorter than one already run, run whole. Each
-    row still equals ``run_link_full`` of its config.
+    per row instead, which turns the sharing below off. The rows' element
+    chains form a tree that is walked once, depth first: rows that share a
+    seed transmit once and share the work of their common chain prefix, and at
+    fixed steps a fiber span resumes mid-way after a shorter sibling span of
+    the same fiber apart from its length. Each row still equals
+    ``run_link_full`` of its config, and the rows come back in input order.
     """
-    plan: list[tuple[float, float, int, tuple | Exception]] = []
-    # A prefix's state (bits, field, amplifier RNG), or a span group's unclosed
-    # spectrum and step count, is kept until its last resuming row.
-    seen: set[tuple] = set()
-    last_use: dict[tuple, int] = {}
-    # Steps of the longest span so far in each group: same prefix, same fiber
-    # apart from its length, same fixed step dz.
-    ends: dict[tuple, int] = {}
+    rows: list[SweepRow | tuple[float, float, int]] = []
+    configs: dict[int, LinkConfig] = {}
     for index, (pre, post) in enumerate(pairs):
         seed = config.sim.seed
         if per_row_seeds:
             seed = int(np.random.SeedSequence([config.sim.seed, index]).generate_state(1)[0])
+        rows.append((pre, post, seed))
         try:
             sim = dataclasses.replace(config.sim, seed=seed)
-            cfg = dataclasses.replace(config, pre_length_km=pre, post_length_km=post, sim=sim)
-            grid, topology = cfg.grid(), cfg.resolve_topology()
-            keys = [(seed, topology.elements[:k]) for k in range(len(topology.elements) + 1)]
+            configs[index] = dataclasses.replace(
+                config, pre_length_km=pre, post_length_km=post, sim=sim
+            )
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
-            plan.append((pre, post, seed, exc))
-            continue
-        shared = [key for key in keys if key in seen]
-        if shared:
-            last_use[shared[-1]] = index
-        seen.update(keys)
-        ssfm, spans = cfg.sim.ssfm, {}
-        for k in range(max(len(shared) - 1, 0), len(topology.elements)):
-            fiber = topology.elements[k]
-            if ssfm.step_km is None or not isinstance(fiber, FiberParams):
-                continue
-            group = (keys[k], dataclasses.replace(fiber, length_km=0.0), ssfm.fixed_step_m(fiber))
-            steps, end = ssfm.fixed_steps(fiber), ends.get(group, 0)
-            resumes = 0 < end <= steps
-            if resumes:
-                last_use[group] = index
-            spans[k] = (group, fiber, resumes, steps > end)
-            ends[group] = max(end, steps)
-        plan.append((pre, post, seed, (cfg, grid, topology, keys, spans)))
-
-    rows: list[SweepRow] = []
-    saved: dict[tuple, tuple] = {}
-    for index, (pre, post, seed, built) in enumerate(plan):
-        try:
-            if isinstance(built, Exception):
-                raise built
-            cfg, grid, topology, keys, spans = built
-            start = max((k for k, key in enumerate(keys) if key in saved), default=0)
-            bits, field_, amp_rng = saved.get(keys[start]) or _transmit(cfg, grid)
-            amp_rng = copy.deepcopy(amp_rng)  # later rows may resume from the same state
-            runners = {}
-            for k, (group, fiber, resumes, extends) in spans.items():
-                span = saved.get(group) if resumes else None
-                keep = extends and last_use.get(group, index) > index
-                if span or keep:
-                    runners[k] = functools.partial(
-                        propagate_span, fiber=fiber, options=cfg.sim.ssfm, start=span,
-                        keep=functools.partial(saved.__setitem__, group) if keep else None,
-                    )
-            for k, field_ in _walk(field_, amp_rng, topology, cfg.sim.ssfm, start, runners):
-                if last_use.get(keys[k], index) > index and keys[k] not in saved:
-                    saved[keys[k]] = (bits, field_, copy.deepcopy(amp_rng))
-            r = _finish(cfg, grid, topology, bits, field_)
-            row = SweepRow(pre, post, r.residual_ps_nm, r.q.q_db, r.q.ber, r.q.jitter_ns, seed)
-        except Exception as exc:  # noqa: BLE001 - row-level fault isolation
-            row = SweepRow(pre, post, None, None, None, None, seed, f"{type(exc).__name__}: {exc}")
-        rows.append(row)
-        for key in [key for key in saved if last_use[key] == index]:
-            del saved[key]
+            rows[index] = _sweep_row(pre, post, seed, exc)
+    for index, outcome in _walk(configs):
+        rows[index] = _sweep_row(*rows[index], outcome)
+        # A result holds its waveform and eye, an exception its frames' fields.
+        del outcome
     return rows

@@ -162,6 +162,7 @@ class TestRun:
         rc = main(["run", "--config", cfg_file, "--out", str(out)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not (out / "result.csv").exists()
 
     def test_removed_nonlinear_phase_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "nl.cfg"

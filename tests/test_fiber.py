@@ -191,7 +191,7 @@ class TestLinearPropagation:
         ids=["fixed", "adaptive", "zero_length"],
     )
     def test_input_field_untouched(self, length_km, step_km):
-        # sweep resumes later rows from saved prefix fields, so they must not change
+        # a sweep runs every child of a branch point from the same input field
         pulse = gaussian(GRID64, peak_w=0.1)
         before = pulse.samples.copy()
         fiber = fl.FiberParams(length_km, 16.0, 0.2, 1.3)

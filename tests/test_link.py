@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,12 @@ class TestRunLink:
         np.testing.assert_array_equal(result.q.eye.traces, expected.traces)
         np.testing.assert_array_equal(result.q.eye.crossing_times, expected.crossing_times)
 
+    def test_holds_one_field_at_a_time(self):
+        # 10.55 field sizes. Keeping the transmitted field for the rest of the
+        # walk holds one field more (11.54).
+        config = fl.parse_config("sim.n_bits = 256\nsim.step_km = 2\n")
+        assert peak_fields(lambda: fl.run_link_full(config), config) < 11.0
+
     def test_compensated_beats_uncompensated(self):
         base = small_link_config()
         # same line, DCF lengths far off the zero-residual point
@@ -257,7 +264,7 @@ SHARED_SWEEPS = {
     # mid-way; 2.4 km takes 3 steps of 0.8 km and shares no span.
     "ascending_spans": [(2.0, 2.0), (2.0, 3.0), (2.0, 4.0), (3.0, 2.0), (4.0, 4.0)],
     "descending_spans": [(4.0, 4.0), (4.0, 3.0), (4.0, 2.0), (2.0, 2.0)],
-    # The 3 km row comes after the 4 km span and must not resume from it.
+    # Out of order: the walk still runs the pre spans 2, 3, 4, 5 km in turn.
     "unordered_spans": [(2.0, 2.0), (4.0, 2.0), (3.0, 2.0), (5.0, 2.0)],
     "mixed_step_spans": list(itertools.product((2.0, 3.0, 4.0), (2.0, 2.4, 3.0))),
 }
@@ -266,6 +273,21 @@ SHARED_SWEEPS = {
 def ase_config():
     """A small link with the transmitter, amplifier and receiver RNGs all live."""
     return small_link_config(**{"amp.ase": "true"})
+
+
+def peak_fields(run, config):
+    """The tracemalloc peak of ``run()`` in field sizes (16 B per sample) of ``config``.
+
+    A single run goes first, so the one-time allocations of a cold process
+    (about 7 field sizes) are not counted.
+    """
+    fl.run_link_full(config)
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / (config.grid().n_samples * 16)
+    finally:
+        tracemalloc.stop()
 
 
 def single_run(config, pre, post):
@@ -354,11 +376,13 @@ class TestSweep:
         assert all(r.error is None for r in rows)
         assert (calls["propagate_fiber"], calls["amplify"], calls["transmit"]) == counts
 
-    def test_ascending_spans_run_each_step_once(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["ascending_spans", "descending_spans", "unordered_spans"])
+    def test_spans_run_each_step_once(self, monkeypatch, name):
         # Each distinct span (same prefix, same fiber apart from its length) is
-        # integrated once, to its longest length: one forward FFT in and one per
-        # step. Transmit and receive add none (they use rfft).
-        config, pairs = ase_config(), SHARED_SWEEPS["ascending_spans"]
+        # integrated once, to its longest length, whatever order the rows come
+        # in: one forward FFT in and one per step. Transmit and receive add none
+        # (they use rfft).
+        config, pairs = ase_config(), SHARED_SWEEPS[name]
         longest = {}
         for pre, post in pairs:
             cfg = dataclasses.replace(config, pre_length_km=pre, post_length_km=post)
@@ -379,6 +403,14 @@ class TestSweep:
         rows = fl.sweep(config, pairs)
         assert all(r.error is None for r in rows)
         assert len(ffts) == sum(1 + steps for steps in longest.values())
+
+    def test_holds_fields_only_at_branch_points(self):
+        # The 4 x 4 cross holds a field where the tree branches and a kept span
+        # per sibling group: 13.8 field sizes. Holding a finished row's result
+        # (its waveform and eye) while the next row runs reads 14.7.
+        config = fl.parse_config("sim.n_bits = 256\nsim.step_km = 2\namp.ase = true\n")
+        pairs = list(itertools.product((24.0, 27.0, 30.0, 35.0), repeat=2))
+        assert peak_fields(lambda: fl.sweep(config, pairs), config) < 14.3
 
     def test_build_failure_in_shared_group(self):
         # 200,000 steps of 1 km in the post DCF: rejected when the row's LinkConfig is built
