@@ -55,9 +55,9 @@ def main() -> int:
         "symmetric": (total / 2, total / 2),
     }
     for name, (pre, post) in layouts.items():
-        topology = fl.build_link(pre, post)
-        profile = fl.dispersion_profile(topology)
-        residual = fl.residual_dispersion(topology)
+        elements = fl.LinkConfig(pre_length_km=pre, post_length_km=post).elements()
+        profile = fl.dispersion_profile(elements)
+        residual = fl.residual_dispersion(elements)
         print(f"== {name} (pre {pre:g} km, post {post:g} km) ==")
         print("position_km,accumulated_ps_nm")
         for position, accumulated in profile:

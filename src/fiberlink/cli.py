@@ -113,9 +113,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     config = _load_config(args.config, None)
-    topology = config.resolve_topology()
     print("position_km,accumulated_ps_nm")
-    for position, accumulated in dispersion_profile(topology):
+    for position, accumulated in dispersion_profile(config.elements()):
         print(f"{_fmt(position)},{_fmt(accumulated)}")
     return 0
 

@@ -46,7 +46,7 @@ STEP_FACTOR = 2.0 ** (1.0 / 3.0)
 
 
 class PropagationError(RuntimeError):
-    """The split-step integration produced a non-finite field or stalled."""
+    """A span's field went non-finite or its steps stalled, or an amplifier input was dark."""
 
 
 def d_to_beta2(d_ps_nm_km: float, wavelength_m: float) -> float:
@@ -358,7 +358,8 @@ def amplify(
 
     ASE is injected as circular complex Gaussian noise with per-sample power
     ``(G - 1) * n_sp * h * nu * B_sim`` where ``n_sp = 10**(NF/10) / 2`` and
-    ``B_sim`` is the simulation bandwidth ``1/dt``.
+    ``B_sim`` is the simulation bandwidth ``1/dt``. A restore-mode amplifier
+    raises :class:`PropagationError` on a dark input: it has no level to restore.
     """
     p = np.abs(field.samples) ** 2
     if amp.mode == "fixed":
@@ -368,9 +369,8 @@ def amplify(
             raise ValueError("restore-mode amplifier has no resolved target_dbm")
         est = _mark_level_estimate(p)
         if est <= 0.0:
-            g_lin = 1.0  # dark input: nothing to restore
-        else:
-            g_lin = dbm_to_watts(amp.target_dbm) / est
+            raise PropagationError(f"dark input: mark-level power {est:.6g} W, nothing to restore")
+        g_lin = dbm_to_watts(amp.target_dbm) / est
     out = field.samples * np.sqrt(g_lin)
     if amp.ase_enabled:
         if rng is None:

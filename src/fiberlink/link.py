@@ -35,12 +35,10 @@ from .signals import ElectricalWaveform, OpticalField, SamplingGrid
 from .transmitter import DEFAULT_LFSR_SEED, BitSequence, TxConfig, prbs_generate, transmit
 
 __all__ = [
-    "LinkTopology",
     "SimSettings",
     "LinkConfig",
     "SweepRow",
     "LinkRunResult",
-    "build_link",
     "residual_dispersion",
     "dispersion_profile",
     "run_link_full",
@@ -64,67 +62,15 @@ DEFAULT_DCF = FiberParams(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class LinkTopology:
-    """Ordered element chain; fibers carry length, amplifiers are lumped."""
-
-    elements: tuple[FiberParams | AmplifierParams, ...]
-
-    def __post_init__(self) -> None:
-        if not self.elements:
-            raise ValueError("a link must contain at least one element")
-        if not any(
-            isinstance(el, FiberParams) and el.label == "SMF" for el in self.elements
-        ):
-            raise ValueError("a link must contain at least one SMF span")
-
-    def fibers(self) -> tuple[FiberParams, ...]:
-        return tuple(el for el in self.elements if isinstance(el, FiberParams))
-
-
-def build_link(
-    l_pre: float,
-    l_post: float,
-    smf: FiberParams = DEFAULT_SMF,
-    dcf: FiberParams = DEFAULT_DCF,
-    n_smf_spans: int = 2,
-    amplifier: AmplifierParams | None = None,
-) -> LinkTopology:
-    """Assemble the element chain of one dispersion map.
-
-    ``l_pre``/``l_post`` are the DCF lengths at the line input and output; a
-    side is left out when its length is 0. Every fiber span is followed by a
-    copy of ``amplifier`` (default: restore to 0 dBm).
-    """
-    if not (0 <= l_pre < math.inf and 0 <= l_post < math.inf):
-        raise ValueError(f"DCF lengths must satisfy 0 <= l < inf, got pre={l_pre}, post={l_post}")
-    if n_smf_spans < 1:
-        raise ValueError(f"n_smf_spans must be >= 1, got {n_smf_spans}")
-    if amplifier is None:
-        amplifier = AmplifierParams(mode="restore", target_dbm=0.0)
-
-    elements: list[FiberParams | AmplifierParams] = []
-
-    def add_fiber(f: FiberParams) -> None:
-        elements.append(f)
-        elements.append(amplifier)
-
-    if l_pre > 0:
-        add_fiber(dataclasses.replace(dcf, length_km=l_pre, label="DCF-pre"))
-    for _ in range(n_smf_spans):
-        add_fiber(smf)
-    if l_post > 0:
-        add_fiber(dataclasses.replace(dcf, length_km=l_post, label="DCF-post"))
-    return LinkTopology(elements=tuple(elements))
-
-
-def residual_dispersion(topology: LinkTopology) -> float:
+def residual_dispersion(elements: tuple[FiberParams | AmplifierParams, ...]) -> float:
     """Net accumulated dispersion of the link, ps/nm: the end of its dispersion profile."""
-    return dispersion_profile(topology)[-1][1]
+    return dispersion_profile(elements)[-1][1]
 
 
-def dispersion_profile(topology: LinkTopology) -> list[tuple[float, float]]:
-    """Accumulated dispersion sampled at fiber boundaries.
+def dispersion_profile(
+    elements: tuple[FiberParams | AmplifierParams, ...],
+) -> list[tuple[float, float]]:
+    """Accumulated dispersion of an element chain sampled at fiber boundaries.
 
     Returns (position_km, accumulated_ps_nm) breakpoints, starting at (0, 0);
     the profile is piecewise linear between them.
@@ -132,10 +78,11 @@ def dispersion_profile(topology: LinkTopology) -> list[tuple[float, float]]:
     points = [(0.0, 0.0)]
     pos = 0.0
     acc = 0.0
-    for f in topology.fibers():
-        pos += f.length_km
-        acc += f.dispersion_ps_nm_km * f.length_km
-        points.append((pos, acc))
+    for f in elements:
+        if isinstance(f, FiberParams):
+            pos += f.length_km
+            acc += f.dispersion_ps_nm_km * f.length_km
+            points.append((pos, acc))
     return points
 
 
@@ -162,12 +109,13 @@ class SimSettings:
 class LinkConfig:
     """Complete description of one link simulation.
 
-    ``pre_length_km``/``post_length_km`` are the DCF sides passed to
-    :func:`build_link`; ``dcf`` supplies the other DCF parameters, and its own
-    ``length_km`` must be 0. Construction checks what the modules must agree
-    on: the topology, the fixed-mode step count of each span, the sampling
-    grid, the receive filter against the grid's Nyquist frequency, the laser
-    phase noise per sample, and enough bits of each value for ``estimate_q``.
+    ``pre_length_km``/``post_length_km`` are the DCF sides of the element
+    chain :meth:`elements` builds; ``dcf`` supplies the other DCF parameters,
+    and its own ``length_km`` must be 0. Construction checks what the modules
+    must agree on: the DCF lengths and SMF span count, the fixed-mode step
+    count of each span, the sampling grid, the receive filter against the
+    grid's Nyquist frequency, the laser phase noise per sample, and enough
+    bits of each value for ``estimate_q``.
     """
 
     n_smf_spans: int = 2
@@ -186,9 +134,13 @@ class LinkConfig:
                 f"dcf.length_km must be 0, got {self.dcf.length_km}: the DCF lengths are "
                 "pre_length_km and post_length_km"
             )
-        topology = self.resolve_topology()
+        pre, post = self.pre_length_km, self.post_length_km
+        if not (0 <= pre < math.inf and 0 <= post < math.inf):
+            raise ValueError(f"DCF lengths must satisfy 0 <= l < inf, got pre={pre}, post={post}")
+        if self.n_smf_spans < 1:
+            raise ValueError(f"n_smf_spans must be >= 1, got {self.n_smf_spans}")
         if self.sim.ssfm.step_km is not None:
-            for fiber in topology.fibers():
+            for fiber in self.elements()[::2]:  # every fiber; an amplifier follows each
                 self.sim.ssfm.fixed_steps(fiber)
         grid = self.grid()
         if not self.rx.bessel_bandwidth < 0.5 * grid.sample_rate:
@@ -216,21 +168,22 @@ class LinkConfig:
             self.tx.bit_rate, self.sim.n_bits, self.sim.samples_per_bit, self.tx.wavelength
         )
 
-    def resolve_amplifier(self) -> AmplifierParams:
-        """Fill a restore-mode amplifier's target from the launch power."""
-        if self.amp.mode == "restore" and self.amp.target_dbm is None:
-            return dataclasses.replace(self.amp, target_dbm=self.tx.launch_power_dbm)
-        return self.amp
+    def elements(self) -> tuple[FiberParams | AmplifierParams, ...]:
+        """The element chain of the dispersion map, each fiber followed by ``amp``.
 
-    def resolve_topology(self) -> LinkTopology:
-        return build_link(
-            self.pre_length_km,
-            self.post_length_km,
-            self.smf,
-            self.dcf,
-            self.n_smf_spans,
-            self.resolve_amplifier(),
-        )
+        DCF-pre when its length is > 0, the SMF spans, then DCF-post when its
+        length is > 0. A restore-mode ``amp`` without a target restores the
+        launch power.
+        """
+        amp, pre, post = self.amp, self.pre_length_km, self.post_length_km
+        if amp.mode == "restore" and amp.target_dbm is None:
+            amp = dataclasses.replace(amp, target_dbm=self.tx.launch_power_dbm)
+        fibers = [self.smf] * self.n_smf_spans
+        if pre > 0:
+            fibers.insert(0, dataclasses.replace(self.dcf, length_km=pre, label="DCF-pre"))
+        if post > 0:
+            fibers.append(dataclasses.replace(self.dcf, length_km=post, label="DCF-post"))
+        return tuple(el for fiber in fibers for el in (fiber, amp))
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,7 +194,7 @@ class LinkRunResult:
     bits: BitSequence
     received: ElectricalWaveform
     grid: SamplingGrid
-    topology: LinkTopology
+    elements: tuple[FiberParams | AmplifierParams, ...]
     residual_ps_nm: float
     seed: int
 
@@ -269,9 +222,9 @@ def _step(
 
 def _finish(config: LinkConfig, bits: BitSequence, field_: OpticalField) -> LinkRunResult:
     received = receive(field_, config.rx, np.random.default_rng(_streams(config.sim.seed)[2]))
-    q, topology = estimate_q(received, bits, config.sim.skip_bits), config.resolve_topology()
+    q, elements = estimate_q(received, bits, config.sim.skip_bits), config.elements()
     return LinkRunResult(
-        q, bits, received, config.grid(), topology, residual_dispersion(topology), config.sim.seed
+        q, bits, received, config.grid(), elements, residual_dispersion(elements), config.sim.seed
     )
 
 
@@ -295,7 +248,7 @@ def _walk(configs: dict[int, LinkConfig]) -> Iterator[tuple[int, LinkRunResult |
     roots: dict[int, tuple[LinkConfig, tuple[dict, list[int]]]] = {}
     for index, cfg in configs.items():
         node = roots.setdefault(cfg.sim.seed, (cfg, ({}, [])))[1]
-        for element in cfg.resolve_topology().elements:
+        for element in cfg.elements():
             node = node[0].setdefault(element, ({}, []))
         node[1].append(index)
     # (k, element, node, bits, input field, RNG, the spans its siblings keep, span

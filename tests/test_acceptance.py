@@ -95,8 +95,9 @@ def test_criterion_2_residual_dispersion_arithmetic():
         (35.0, 35.0): -1760.0,
     }
     for (pre, post), residual in expected.items():
-        topo = fl.build_link(pre, post)
-        got = fl.residual_dispersion(topo)
+        got = fl.residual_dispersion(
+            fl.LinkConfig(pre_length_km=pre, post_length_km=post).elements()
+        )
         assert got == residual, f"(pre={pre}, post={post}): {got} != {residual}"
     announce("C2 residuals exactly 0 / -480 / -960 / -1760 ps/nm")
 

@@ -156,6 +156,16 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "result.csv").exists()
 
+    def test_dark_amplifier_input_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "dark.cfg"
+        cfg.write_text(
+            "sim.n_bits = 64\nsim.samples_per_bit = 8\nsmf.loss_db_km = 1e6\n", encoding="utf-8"
+        )
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "element 3 (AMP): dark input" in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
+
     def test_unwritable_eye_file_exits_2(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "eye.txt").mkdir(parents=True)

@@ -115,7 +115,7 @@ class TestSchemeDefaults:
         cfg = fl.parse_config("dcf.post_length_km = 0")
         assert cfg.pre_length_km == 24.0
         assert cfg.post_length_km == 0.0
-        assert [el.label for el in cfg.resolve_topology().elements][:2] == ["DCF-pre", "AMP"]
+        assert [el.label for el in cfg.elements()][:2] == ["DCF-pre", "AMP"]
 
     def test_post_scheme_zeroes_pre_side(self):
         cfg = fl.parse_config("dcf.pre_length_km = 0")

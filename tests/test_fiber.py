@@ -435,10 +435,10 @@ class TestAmplify:
         marks = power[bits.bits == 1, spb // 4 : (3 * spb) // 4]
         assert float(np.mean(marks)) == pytest.approx(1e-3, rel=0.01)
 
-    def test_restore_dark_input_is_identity(self):
+    def test_restore_dark_input_raises(self):
         field = fl.OpticalField(np.zeros(GRID64.n_samples, dtype=complex), GRID64)
-        out = fl.amplify(field, fl.AmplifierParams(mode="restore", target_dbm=0.0))
-        np.testing.assert_array_equal(out.samples, 0.0)
+        with pytest.raises(fl.PropagationError, match="dark input"):
+            fl.amplify(field, fl.AmplifierParams(mode="restore", target_dbm=0.0))
 
     def test_restore_unresolved_target_rejected(self):
         field = gaussian(GRID64)

@@ -16,53 +16,56 @@ from fiberlink.fiber import AmplifierParams, FiberParams, PropagationError
 from conftest import small_link_config
 
 
-def labels(topology):
-    return [el.label for el in topology.elements]
+def elements(pre, post, **kwargs):
+    return fl.LinkConfig(pre_length_km=pre, post_length_km=post, **kwargs).elements()
+
+
+def labels(chain):
+    return [el.label for el in chain]
 
 
 class TestBuildLink:
+    """The element chain ``LinkConfig.elements()`` builds for each dispersion map."""
+
     def test_symmetric_order(self):
-        topo = fl.build_link(24.0, 24.0)
-        assert labels(topo) == [
+        chain = elements(24.0, 24.0)
+        assert labels(chain) == [
             "DCF-pre", "AMP", "SMF", "AMP", "SMF", "AMP", "DCF-post", "AMP",
         ]
-        fibers = topo.fibers()
+        fibers = [el for el in chain if isinstance(el, FiberParams)]
         assert [f.length_km for f in fibers] == [24.0, 120.0, 120.0, 24.0]
         assert [f.dispersion_ps_nm_km for f in fibers] == [-80.0, 16.0, 16.0, -80.0]
 
     def test_pre_order(self):
-        topo = fl.build_link(48.0, 0.0)
-        assert labels(topo) == ["DCF-pre", "AMP", "SMF", "AMP", "SMF", "AMP"]
+        assert labels(elements(48.0, 0.0)) == ["DCF-pre", "AMP", "SMF", "AMP", "SMF", "AMP"]
 
     def test_post_order(self):
-        topo = fl.build_link(0.0, 48.0)
-        assert labels(topo) == ["SMF", "AMP", "SMF", "AMP", "DCF-post", "AMP"]
+        assert labels(elements(0.0, 48.0)) == ["SMF", "AMP", "SMF", "AMP", "DCF-post", "AMP"]
+
+    def test_uncompensated_order(self):
+        chain = elements(0.0, 0.0)
+        assert labels(chain) == ["SMF", "AMP", "SMF", "AMP"]
+        assert fl.residual_dispersion(chain) == 3840.0
 
     def test_span_count(self):
-        topo = fl.build_link(0.0, 12.0, n_smf_spans=4)
-        assert labels(topo).count("SMF") == 4
+        assert labels(elements(0.0, 12.0, n_smf_spans=4)).count("SMF") == 4
 
     def test_every_fiber_followed_by_amplifier(self):
-        topo = fl.build_link(30.0, 24.0, n_smf_spans=3)
-        elements = topo.elements
-        for i, el in enumerate(elements):
+        chain = elements(30.0, 24.0, n_smf_spans=3)
+        for i, el in enumerate(chain):
             if isinstance(el, FiberParams):
-                assert isinstance(elements[i + 1], AmplifierParams)
+                assert isinstance(chain[i + 1], AmplifierParams)
 
     def test_rejects_negative_lengths_and_spans(self):
-        with pytest.raises(ValueError):
-            fl.build_link(-1.0, 24.0)
-        with pytest.raises(ValueError):
-            fl.build_link(24.0, 24.0, n_smf_spans=0)
+        with pytest.raises(ValueError, match="DCF lengths must satisfy 0 <= l < inf"):
+            fl.LinkConfig(pre_length_km=-1.0)
+        with pytest.raises(ValueError, match="n_smf_spans must be >= 1"):
+            fl.LinkConfig(n_smf_spans=0)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="DCF lengths must satisfy 0 <= l < inf"):
-                fl.build_link(24.0, bad)
+                fl.LinkConfig(post_length_km=bad)
             with pytest.raises(ValueError, match="DCF lengths must satisfy 0 <= l < inf"):
                 fl.LinkConfig(pre_length_km=bad)
-
-    def test_topology_requires_smf(self):
-        with pytest.raises(ValueError, match="SMF"):
-            fl.LinkTopology(elements=(AmplifierParams(target_dbm=0.0),))
 
 
 class TestDispersionAccounting:
@@ -71,8 +74,7 @@ class TestDispersionAccounting:
         [(24.0, 24.0, 0.0), (30.0, 24.0, -480.0), (30.0, 30.0, -960.0), (35.0, 35.0, -1760.0)],
     )
     def test_residual_reference_points(self, pre, post, expected):
-        topo = fl.build_link(pre, post)
-        assert fl.residual_dispersion(topo) == pytest.approx(expected, abs=1e-9)
+        assert fl.residual_dispersion(elements(pre, post)) == pytest.approx(expected, abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -81,20 +83,18 @@ class TestDispersionAccounting:
         n=st.integers(1, 4),
     )
     def test_residual_additivity(self, pre, post, n):
-        topo = fl.build_link(pre, post, n_smf_spans=n)
+        chain = elements(pre, post, n_smf_spans=n)
         expected = 16.0 * 120.0 * n - 80.0 * (pre + post)
-        assert fl.residual_dispersion(topo) == pytest.approx(expected, rel=1e-12)
+        assert fl.residual_dispersion(chain) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_residual_only_at_24(self):
-        base = fl.residual_dispersion(fl.build_link(24.0, 24.0))
+        base = fl.residual_dispersion(elements(24.0, 24.0))
         assert base == 0.0
         for l in (23.9, 24.1, 20.0, 30.0):
-            topo = fl.build_link(l, l)
-            assert fl.residual_dispersion(topo) != 0.0
+            assert fl.residual_dispersion(elements(l, l)) != 0.0
 
     def test_profile_breakpoints_default(self):
-        topo = fl.build_link(24.0, 24.0)
-        profile = fl.dispersion_profile(topo)
+        profile = fl.dispersion_profile(elements(24.0, 24.0))
         assert profile == [
             (0.0, 0.0),
             (24.0, -1920.0),
@@ -104,28 +104,25 @@ class TestDispersionAccounting:
         ]
 
     def test_profile_starts_at_origin_and_ends_at_residual(self):
-        topo = fl.build_link(35.0, 35.0)
-        profile = fl.dispersion_profile(topo)
+        chain = elements(35.0, 35.0)
+        profile = fl.dispersion_profile(chain)
         assert profile[0] == (0.0, 0.0)
         assert profile[-1][0] == pytest.approx(310.0)
-        assert profile[-1][1] == pytest.approx(fl.residual_dispersion(topo))
+        assert profile[-1][1] == pytest.approx(fl.residual_dispersion(chain))
 
     def test_profile_positions_strictly_increase(self):
-        topo = fl.build_link(0.0, 48.0, n_smf_spans=3)
-        positions = [p for p, _ in fl.dispersion_profile(topo)]
+        positions = [p for p, _ in fl.dispersion_profile(elements(0.0, 48.0, n_smf_spans=3))]
         assert positions == sorted(positions)
         assert len(set(positions)) == len(positions)
 
 
 class TestLinkConfig:
     def test_defaults_are_valid(self):
-        cfg = fl.LinkConfig()
-        topo = cfg.resolve_topology()
-        assert fl.residual_dispersion(topo) == 0.0
+        assert fl.residual_dispersion(fl.LinkConfig().elements()) == 0.0
 
     def test_restore_target_resolves_to_launch_power(self):
         cfg = dataclasses.replace(fl.LinkConfig(), tx=fl.TxConfig(launch_power_dbm=3.0))
-        amp = cfg.resolve_amplifier()
+        amp = cfg.elements()[1]
         assert amp.mode == "restore"
         assert amp.target_dbm == 3.0
 
@@ -133,7 +130,7 @@ class TestLinkConfig:
         cfg = dataclasses.replace(
             fl.LinkConfig(), amp=fl.AmplifierParams(mode="restore", target_dbm=-2.0)
         )
-        assert cfg.resolve_amplifier().target_dbm == -2.0
+        assert cfg.elements()[1].target_dbm == -2.0
 
     def test_rejects_dcf_length(self):
         dcf = dataclasses.replace(fl.LinkConfig().dcf, length_km=30.0)
@@ -202,7 +199,7 @@ class TestRunLink:
         result = fl.run_link_full(cfg)
         assert result.seed == 42
         assert result.residual_ps_nm == pytest.approx(
-            fl.residual_dispersion(result.topology)
+            fl.residual_dispersion(result.elements)
         )
         assert result.grid.n_bits == 64
         assert result.q.eye.traces.shape == (56, 16)
@@ -386,10 +383,10 @@ class TestSweep:
         longest = {}
         for pre, post in pairs:
             cfg = dataclasses.replace(config, pre_length_km=pre, post_length_km=post)
-            elements = cfg.resolve_topology().elements
-            for k, element in enumerate(elements):
+            chain = cfg.elements()
+            for k, element in enumerate(chain):
                 if isinstance(element, FiberParams):
-                    span = (elements[:k], dataclasses.replace(element, length_km=0.0))
+                    span = (chain[:k], dataclasses.replace(element, length_km=0.0))
                     steps = config.sim.ssfm.fixed_steps(element)
                     longest[span] = max(longest.get(span, 0), steps)
         ffts = []

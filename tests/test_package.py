@@ -109,3 +109,27 @@ def test_every_import_is_used_or_exported():
                     if name != "*" and name not in used:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+# Public names with no caller in src/ or scripts/, each with the reason it stays public.
+TEST_FACING = {
+    "__version__": "the package version, for whoever imports the library",
+    "KNOWN_KEYS": "the README-table test checks the documented keys against it",
+    "q_from_rails": "the tests' rail oracle for estimate_q",
+}
+
+
+def test_public_names_have_a_caller():
+    """README: ``fl.__all__`` is what the link, the CLI and the scripts call. A name
+    counts as called when src/ or scripts/ reads it outside its own definition."""
+    referenced = set()
+    paths = [*(ROOT / "src" / "fiberlink").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name | ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    if name != own:
+                        referenced.add(name)
+    assert sorted(set(fl.__all__) - referenced) == sorted(TEST_FACING)
