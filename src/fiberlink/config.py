@@ -1,9 +1,12 @@
 """Flat key=value config files -> a validated LinkConfig.
 
 Format: one ``section.key = value`` per line, ``#`` comments, blank lines
-ignored. Unknown keys, malformed values, duplicates, and out-of-range
-settings are all rejected with the offending line number and key. An empty
-file yields the full default configuration.
+ignored. Unknown keys, malformed values and duplicates are rejected with the
+offending line number and key. Ranges are checked once, by the dataclasses
+that own the values: a value that breaks a rule on its own is reported with
+its line and key, a rule that only a combination breaks (the receive filter
+against the grid's Nyquist frequency, say) with the dataclass's message alone.
+An empty file yields the full default configuration.
 """
 from __future__ import annotations
 
@@ -12,8 +15,6 @@ import math
 from typing import Any, Callable
 
 from .link import LinkConfig
-from .signals import ALLOWED_SAMPLES_PER_BIT
-from .transmitter import PRBS_TAPS
 
 __all__ = ["ConfigError", "parse_config", "read_config_text", "KNOWN_KEYS"]
 
@@ -53,72 +54,42 @@ def _parse_amp_mode(text: str) -> tuple[str, float | None]:
     raise ValueError(f"expected 'restore' or 'fixed:<dB>', got {text!r}")
 
 
-def _positive(parse: Callable[[str], Any]) -> Callable[[str], Any]:
-    def check(text: str) -> Any:
-        value = parse(text)
-        if not value > 0:
-            raise ValueError(f"must be > 0, got {value}")
-        return value
-
-    return check
-
-
-def _non_negative(parse: Callable[[str], Any]) -> Callable[[str], Any]:
-    def check(text: str) -> Any:
-        value = parse(text)
-        if value < 0:
-            raise ValueError(f"must be >= 0, got {value}")
-        return value
-
-    return check
-
-
-def _in_set(allowed: tuple[int, ...]) -> Callable[[str], int]:
-    def check(text: str) -> int:
-        value = _parse_int(text)
-        if value not in allowed:
-            raise ValueError(f"must be one of {allowed}, got {value}")
-        return value
-
-    return check
-
-
-# key -> (value parser with its range check, LinkConfig field path, power of
-# ten from the key's unit to the field's SI unit). Defaults live only in the
-# dataclasses. A parser that returns a tuple sets one field per path. Negative
+# key -> (value parser, LinkConfig field path, power of ten from the key's unit
+# to the field's SI unit). The parsers check syntax only: defaults and ranges
+# live in the dataclasses. A parser that returns a tuple sets one field per path. Negative
 # powers divide: 1550 / 1e9 is the double nearest 1550e-9, 1550 * 1e-9 is not.
 _SCHEMA: dict[str, tuple[Callable[[str], Any], str | tuple[str, ...], int]] = {
-    "link.n_smf_spans": (_positive(_parse_int), "n_smf_spans", 0),
-    "smf.length_km": (_non_negative(_parse_float), "smf.length_km", 0),
+    "link.n_smf_spans": (_parse_int, "n_smf_spans", 0),
+    "smf.length_km": (_parse_float, "smf.length_km", 0),
     "smf.dispersion_ps_nm_km": (_parse_float, "smf.dispersion_ps_nm_km", 0),
-    "smf.loss_db_km": (_non_negative(_parse_float), "smf.loss_db_km", 0),
-    "smf.gamma_per_w_km": (_non_negative(_parse_float), "smf.gamma_per_w_km", 0),
-    "dcf.pre_length_km": (_non_negative(_parse_float), "pre_length_km", 0),
-    "dcf.post_length_km": (_non_negative(_parse_float), "post_length_km", 0),
+    "smf.loss_db_km": (_parse_float, "smf.loss_db_km", 0),
+    "smf.gamma_per_w_km": (_parse_float, "smf.gamma_per_w_km", 0),
+    "dcf.pre_length_km": (_parse_float, "pre_length_km", 0),
+    "dcf.post_length_km": (_parse_float, "post_length_km", 0),
     "dcf.dispersion_ps_nm_km": (_parse_float, "dcf.dispersion_ps_nm_km", 0),
-    "dcf.loss_db_km": (_non_negative(_parse_float), "dcf.loss_db_km", 0),
-    "dcf.gamma_per_w_km": (_non_negative(_parse_float), "dcf.gamma_per_w_km", 0),
-    "tx.bit_rate_gbps": (_positive(_parse_float), "tx.bit_rate", 9),
-    "tx.wavelength_nm": (_positive(_parse_float), "tx.wavelength", -9),
+    "dcf.loss_db_km": (_parse_float, "dcf.loss_db_km", 0),
+    "dcf.gamma_per_w_km": (_parse_float, "dcf.gamma_per_w_km", 0),
+    "tx.bit_rate_gbps": (_parse_float, "tx.bit_rate", 9),
+    "tx.wavelength_nm": (_parse_float, "tx.wavelength", -9),
     "tx.power_dbm": (_parse_float, "tx.launch_power_dbm", 0),
-    "tx.linewidth_mhz": (_non_negative(_parse_float), "tx.linewidth_hz", 6),
-    "tx.prbs_order": (_in_set(tuple(sorted(PRBS_TAPS))), "tx.prbs_order", 0),
+    "tx.linewidth_mhz": (_parse_float, "tx.linewidth_hz", 6),
+    "tx.prbs_order": (_parse_int, "tx.prbs_order", 0),
     "tx.rise_time_ui": (_parse_float, "tx.rise_time", 0),
-    "tx.extinction_db": (_positive(_parse_float), "tx.extinction_db", 0),
-    "rx.responsivity_a_w": (_positive(_parse_float), "rx.responsivity", 0),
-    "rx.thermal_psd": (_non_negative(_parse_float), "rx.thermal_noise_psd", 0),
+    "tx.extinction_db": (_parse_float, "tx.extinction_db", 0),
+    "rx.responsivity_a_w": (_parse_float, "rx.responsivity", 0),
+    "rx.thermal_psd": (_parse_float, "rx.thermal_noise_psd", 0),
     "rx.shot_noise": (_parse_bool, "rx.shot_noise", 0),
     "rx.bessel_order": (_parse_int, "rx.bessel_order", 0),
-    "rx.bessel_bw_ghz": (_positive(_parse_float), "rx.bessel_bandwidth", 9),
+    "rx.bessel_bw_ghz": (_parse_float, "rx.bessel_bandwidth", 9),
     "amp.mode": (_parse_amp_mode, ("amp.mode", "amp.gain_db"), 0),
     "amp.ase": (_parse_bool, "amp.ase_enabled", 0),
     "amp.noise_figure_db": (_parse_float, "amp.noise_figure_db", 0),
-    "sim.n_bits": (_positive(_parse_int), "sim.n_bits", 0),
-    "sim.samples_per_bit": (_in_set(ALLOWED_SAMPLES_PER_BIT), "sim.samples_per_bit", 0),
-    "sim.step_km": (_positive(_parse_float), "sim.ssfm.step_km", 0),
+    "sim.n_bits": (_parse_int, "sim.n_bits", 0),
+    "sim.samples_per_bit": (_parse_int, "sim.samples_per_bit", 0),
+    "sim.step_km": (_parse_float, "sim.ssfm.step_km", 0),
     "sim.local_error": (_parse_float, "sim.ssfm.local_error", 0),
-    "sim.seed": (_non_negative(_parse_int), "sim.seed", 0),
-    "sim.skip_bits": (_non_negative(_parse_int), "sim.skip_bits", 0),
+    "sim.seed": (_parse_int, "sim.seed", 0),
+    "sim.skip_bits": (_parse_int, "sim.skip_bits", 0),
 }
 
 KNOWN_KEYS = tuple(sorted(_SCHEMA))
@@ -141,8 +112,7 @@ def _replace(obj: Any, updates: dict[str, Any]) -> Any:
 
 def parse_config(text: str) -> LinkConfig:
     """Parse config text into a fully defaulted, validated LinkConfig."""
-    updates: dict[str, Any] = {}
-    lines: dict[str, int] = {}
+    settings: dict[str, tuple[int, dict[str, Any]]] = {}  # key -> (line, field updates)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -154,9 +124,9 @@ def parse_config(text: str) -> LinkConfig:
         value_text = value_text.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in lines:
+        if key in settings:
             raise ConfigError(
-                f"line {lineno}: duplicate key {key!r} (first set on line {lines[key]})"
+                f"line {lineno}: duplicate key {key!r} (first set on line {settings[key][0]})"
             )
         if not value_text:
             raise ConfigError(f"line {lineno}: key {key!r} has no value")
@@ -166,25 +136,31 @@ def parse_config(text: str) -> LinkConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from None
         if isinstance(path, tuple):
-            updates.update(zip(path, value))
-        else:
-            if power:
-                value = value * 10.0**power if power > 0 else value / 10.0**-power
-                if not math.isfinite(value):
-                    raise ConfigError(
-                        f"line {lineno}: key {key!r}: {value_text} overflows in SI units"
-                    )
-            updates[path] = value
-        lines[key] = lineno
+            settings[key] = (lineno, dict(zip(path, value)))
+            continue
+        if power:
+            value = value * 10.0**power if power > 0 else value / 10.0**-power
+            if not math.isfinite(value):
+                raise ConfigError(f"line {lineno}: key {key!r}: {value_text} overflows in SI units")
+        settings[key] = (lineno, {path: value})
 
-    if "sim.local_error" in lines and "sim.step_km" in lines:
-        lineno = max(lines["sim.step_km"], lines["sim.local_error"])
+    if "sim.local_error" in settings and "sim.step_km" in settings:
+        lineno = max(settings["sim.step_km"][0], settings["sim.local_error"][0])
         raise ConfigError(f"line {lineno}: sim.step_km and sim.local_error are mutually exclusive")
 
+    updates = {path: v for _, fields in settings.values() for path, v in fields.items()}
     try:
         return _replace(LinkConfig(), updates)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        message = str(exc)
+    # Blame the first key whose value alone, on the defaults, breaks the same rule.
+    for key, (lineno, fields) in settings.items():
+        try:
+            _replace(LinkConfig(), fields)
+        except ValueError as exc:
+            if str(exc) == message:
+                raise ConfigError(f"line {lineno}: key {key!r}: {message}") from None
+    raise ConfigError(message)
 
 
 def read_config_text(path: str) -> str:

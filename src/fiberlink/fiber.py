@@ -37,6 +37,9 @@ PLANCK = 6.62607015e-34  # J s
 # Most split steps one span may take: 20x the 4,800 of the finest reference
 # (0.025 km steps over 120 km), so a too-fine step fails instead of hanging.
 MAX_STEPS_PER_SPAN = 100_000
+# Largest Kerr phase gamma*|A|^2*dz one split step may apply, in rad. The
+# documented runs stay below 0.04 rad; a step over pi does not resolve the SPM.
+MAX_STEP_PHASE = math.pi
 # Relative local errors an adaptive step may be held to. On the default run,
 # 1e-8 takes ~1,000 trials per span, 1% of the cap and ~60x the 1e-4 default;
 # at 1e-3, Q is already off by ~0.06 dB, and above it a few trials span a fiber.
@@ -46,7 +49,7 @@ STEP_FACTOR = 2.0 ** (1.0 / 3.0)
 
 
 class PropagationError(RuntimeError):
-    """A span's field went non-finite or its steps stalled, or an amplifier input was dark."""
+    """A span's step was too long for its Kerr phase or stalled, or an amplifier input was dark."""
 
 
 def d_to_beta2(d_ps_nm_km: float, wavelength_m: float) -> float:
@@ -190,8 +193,10 @@ def propagate_fiber(
     most ``2 * local_error``, as ``(4 U_f - U_c) / 3``; otherwise h is halved
     and the trial retried. After an accepted trial h shrinks by 2^(1/3) when
     ``delta > local_error`` and grows by 2^(1/3) when ``delta < local_error / 2``.
-    The first trial spans the whole fiber. The total distance integrated is
-    ``fiber.length_km``. The input field is left untouched.
+    The first trial spans the whole fiber. A step whose Kerr phase is over
+    ``MAX_STEP_PHASE`` fails a fixed-step span and rejects an adaptive trial.
+    The total distance integrated is ``fiber.length_km``. The input field is
+    left untouched.
 
     This is :func:`propagate_span` from step 0.
     """
@@ -245,19 +250,23 @@ def propagate_span(
     rotation = np.empty_like(spec)
     half = np.empty_like(spec)
     full = np.empty_like(spec)
+    phase = 0.0  # the largest Kerr phase of the last split step
 
     def split_step(src: np.ndarray, dst: np.ndarray, op: np.ndarray, dz: float) -> bool:
         """Spectrum ``dst`` = linear operator ``op``, then Kerr rotation over ``dz``, on ``src``.
 
-        Returns False, rotation and forward FFT left out, when the field turns non-finite.
+        Returns False, rotation and forward FFT left out, when ``phase`` is over
+        ``MAX_STEP_PHASE`` or not finite.
         """
+        nonlocal phase
         np.multiply(src, op, out=dst)
         np.fft.ifft(dst, out=dst)
         np.abs(dst, out=power)
         np.square(power, out=power)
         np.multiply(gamma_si * dz, power, out=power)
         # The phase >= 0 is non-finite exactly where the rotated field would be.
-        if not np.isfinite(np.max(power)):
+        phase = np.max(power)
+        if not phase <= MAX_STEP_PHASE:  # NaN included
             return False
         np.cos(power, out=rotation.real)
         np.sin(power, out=rotation.imag)
@@ -283,9 +292,10 @@ def propagate_span(
         set_ops(dz)
         for k in range(start[1] if start else 0, n_steps):
             if not split_step(spec, spec, full if k else half, dz):
+                what = f"Kerr phase {phase:.3g} rad" if np.isfinite(phase) else "non-finite field"
                 raise PropagationError(
-                    f"non-finite field at z = {(k + 1) * dz / 1e3:.3f} km in "
-                    f"{fiber.label}; the step size is too large for this launch power"
+                    f"{what} at z = {(k + 1) * dz / 1e3:.3f} km in {fiber.label}; "
+                    "the step size is too large for this launch power"
                 )
         # The last Kerr step left the field finite and already applied this half
         # (inside full), and |half| <= 1, so the closing half step cannot make
@@ -304,10 +314,13 @@ def propagate_span(
     while remaining > 0.0:
         h = min(h, remaining / 2.0)
         if remaining - 2.0 * h == remaining or trials == MAX_STEPS_PER_SPAN:
+            why = f"no step meets local_error = {tol:g}"
+            if not phase <= MAX_STEP_PHASE:
+                why = f"the last trial's Kerr phase {phase:.3g} rad is over {MAX_STEP_PHASE:.3g}"
             raise PropagationError(
                 f"adaptive steps stall at z = {(length_m - remaining) / 1e3:.3f} km in "
                 f"{fiber.label}: step {2.0 * h:.3g} m after {trials} trials of at most "
-                f"{MAX_STEPS_PER_SPAN}; no step meets local_error = {tol:g}"
+                f"{MAX_STEPS_PER_SPAN}; {why}"
             )
         trials += 1
         set_ops(h)

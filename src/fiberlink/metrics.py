@@ -94,7 +94,6 @@ class EyeDiagram:
     threshold: float
     crossing_times: np.ndarray  # seconds from frame start
     crossing_offsets: np.ndarray  # seconds from the nearest bit boundary
-    skip_bits: int
     degenerate: bool
 
 
@@ -134,7 +133,7 @@ def _as_bit_array(bits: BitSequence | np.ndarray) -> np.ndarray:
     return arr
 
 
-def fold_eye(wave: ElectricalWaveform, skip_bits: int = 8) -> EyeDiagram:
+def fold_eye(wave: ElectricalWaveform, skip_bits: int) -> EyeDiagram:
     """Fold a waveform into per-bit traces and locate threshold crossings.
 
     The first ``skip_bits`` bits are discarded as filter warm-up. The decision
@@ -171,7 +170,6 @@ def fold_eye(wave: ElectricalWaveform, skip_bits: int = 8) -> EyeDiagram:
         threshold=threshold,
         crossing_times=crossing_times,
         crossing_offsets=offsets,
-        skip_bits=skip_bits,
         degenerate=degenerate,
     )
 
@@ -185,11 +183,7 @@ def _recover_delay(wave: np.ndarray, bits: np.ndarray, spb: int) -> int:
     return int(np.argmax(corr))
 
 
-def estimate_q(
-    wave: ElectricalWaveform,
-    bits: BitSequence | np.ndarray,
-    skip_bits: int = 8,
-) -> QResult:
+def estimate_q(wave: ElectricalWaveform, bits: BitSequence | np.ndarray, skip_bits: int) -> QResult:
     """Estimate Q, BER, and jitter from a received waveform and known data.
 
     The waveform is aligned to the transmitted pattern by circular

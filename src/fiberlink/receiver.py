@@ -99,9 +99,7 @@ def _bessel_response(order: int, f_norm: np.ndarray) -> np.ndarray:
     return a[0] / np.polyval([c * hi**k for k, c in enumerate(a)][::-1], 1j * f_norm)
 
 
-def bessel_lowpass(
-    wave: ElectricalWaveform, order: int = 4, bandwidth: float = 8e9
-) -> ElectricalWaveform:
+def bessel_lowpass(wave: ElectricalWaveform, order: int, bandwidth: float) -> ElectricalWaveform:
     """Zero-aliasing circular Bessel lowpass via the real FFT.
 
     The analog prototype is magnitude-normalized so |H| is exactly 1 at DC

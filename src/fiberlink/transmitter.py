@@ -125,7 +125,7 @@ def prbs_generate(order: int, seed: int, n_bits: int) -> BitSequence:
     return BitSequence(bits=out)
 
 
-def nrz_drive(bits: BitSequence, grid: SamplingGrid, rise_time: float = 0.25) -> ElectricalWaveform:
+def nrz_drive(bits: BitSequence, grid: SamplingGrid, rise_time: float) -> ElectricalWaveform:
     """Trapezoidal NRZ drive in [0, 1] for one bit per grid slot.
 
     Each transition is a linear ramp of width ``rise_time`` UI centered on
@@ -182,7 +182,7 @@ def cw_laser(
 
 
 def mz_modulate(
-    field: OpticalField, drive: ElectricalWaveform, extinction_db: float = 30.0
+    field: OpticalField, drive: ElectricalWaveform, extinction_db: float
 ) -> OpticalField:
     """Chirp-free Mach-Zehnder amplitude modulator with finite extinction.
 
@@ -197,11 +197,8 @@ def mz_modulate(
     v = drive.samples
     if np.any(v < 0.0) or np.any(v > 1.0):
         raise ValueError("drive samples must lie in [0, 1]")
-    if np.isinf(extinction_db):
-        v_min = 0.0
-    else:
-        er_lin = 10.0 ** (extinction_db / 10.0)
-        v_min = (2.0 / np.pi) * np.arcsin(1.0 / np.sqrt(er_lin))
+    er_lin = 10.0 ** (extinction_db / 10.0)
+    v_min = (2.0 / np.pi) * np.arcsin(1.0 / np.sqrt(er_lin))
     v_eff = v_min + (1.0 - v_min) * v
     amp = np.sin(0.5 * np.pi * v_eff)
     return OpticalField(field.samples * amp, field.grid)

@@ -166,6 +166,26 @@ class TestRun:
         assert "element 3 (AMP): dark input" in capsys.readouterr().err
         assert not (tmp_path / "result.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("tx.power_dbm = 400\nsim.step_km = 5", "element 0 (DCF-pre): Kerr phase "),
+            ("amp.mode = fixed:400\nsim.step_km = 5", "element 2 (SMF): Kerr phase "),
+            ("tx.power_dbm = 400", "element 0 (DCF-pre): adaptive steps stall"),
+        ],
+        ids=["fixed_power", "fixed_gain", "adaptive_power"],
+    )
+    def test_kerr_phase_over_bound_exits_1(self, tmp_path, capsys, text, message):
+        # a step whose Kerr phase is over MAX_STEP_PHASE is unresolved, whatever its Q
+        cfg = tmp_path / "kerr.cfg"
+        cfg.write_text(f"sim.n_bits = 64\nsim.samples_per_bit = 8\n{text}\n", encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Kerr phase" in err and "rad" in err
+        assert not (tmp_path / "result.csv").exists()
+
     def test_unwritable_eye_file_exits_2(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "eye.txt").mkdir(parents=True)

@@ -176,11 +176,11 @@ class TestParseErrors:
             fl.parse_config("sim.n_bits = twelve")
 
     def test_negative_loss_names_key(self):
-        with pytest.raises(fl.ConfigError, match=r"key 'smf.loss_db_km': must be >= 0"):
+        with pytest.raises(fl.ConfigError, match=r"line 1: key 'smf.loss_db_km': loss_db_km must be >= 0"):
             fl.parse_config("smf.loss_db_km = -1")
 
     def test_zero_step_rejected(self):
-        with pytest.raises(fl.ConfigError, match=r"key 'sim.step_km': must be > 0"):
+        with pytest.raises(fl.ConfigError, match=r"line 1: key 'sim.step_km': step_km must be positive"):
             fl.parse_config("sim.step_km = 0")
 
     def test_bad_boolean(self):
@@ -193,7 +193,7 @@ class TestParseErrors:
             fl.parse_config("link.scheme = pre")
 
     def test_prbs_order_not_in_table(self):
-        with pytest.raises(fl.ConfigError, match=r"must be one of \(7, 9, 11, 15, 23, 31\), got 8"):
+        with pytest.raises(fl.ConfigError, match=r"line 1: key 'tx.prbs_order': prbs_order must be one of \[7, 9, 11, 15, 23, 31\], got 8"):
             fl.parse_config("tx.prbs_order = 8")
 
     def test_samples_per_bit_not_allowed(self):
@@ -296,6 +296,57 @@ class TestValidationErrors:
         assert len(KNOWN_KEYS) == 31
         assert "link.scheme" not in KNOWN_KEYS and "dcf.length_km" not in KNOWN_KEYS
         assert all("." in key for key in KNOWN_KEYS)
+
+
+# One out-of-range value for each non-boolean key; the dataclass that owns it rejects it.
+OUT_OF_RANGE = {
+    "link.n_smf_spans": "0",
+    "smf.length_km": "-1",
+    "smf.dispersion_ps_nm_km": "300",
+    "smf.loss_db_km": "-1",
+    "smf.gamma_per_w_km": "-1",
+    "dcf.pre_length_km": "-1",
+    "dcf.post_length_km": "-1",
+    "dcf.dispersion_ps_nm_km": "-500",
+    "dcf.loss_db_km": "-1",
+    "dcf.gamma_per_w_km": "-1",
+    "tx.bit_rate_gbps": "-10",
+    "tx.wavelength_nm": "0",
+    "tx.power_dbm": "nan",
+    "tx.linewidth_mhz": "-1",
+    "tx.prbs_order": "8",
+    "tx.rise_time_ui": "0.5",
+    "tx.extinction_db": "0",
+    "rx.responsivity_a_w": "0",
+    "rx.thermal_psd": "-1",
+    "rx.bessel_order": "0",
+    "rx.bessel_bw_ghz": "0",
+    "amp.mode": "fixed:-1",
+    "amp.noise_figure_db": "nan",
+    "sim.n_bits": "0",
+    "sim.samples_per_bit": "12",
+    "sim.step_km": "0",
+    "sim.local_error": "1",
+    "sim.seed": "-1",
+    "sim.skip_bits": "-1",
+}
+
+
+class TestRangeErrors:
+    def test_table_covers_every_non_boolean_key(self):
+        assert sorted(OUT_OF_RANGE) == sorted(set(KNOWN_KEYS) - {"rx.shot_noise", "amp.ase"})
+
+    @pytest.mark.parametrize(
+        ("text", "prefix"),
+        [(f"# comment\n{key} = {value}", f"line 2: key '{key}': ") for key, value in OUT_OF_RANGE.items()]
+        # a rule only the two keys together break names neither
+        + [("sim.samples_per_bit = 8\nrx.bessel_bw_ghz = 60", "rx bessel_bandwidth 6e+10 Hz must be below")],
+        ids=[*OUT_OF_RANGE, "nyquist"],
+    )
+    def test_single_value_names_line_and_key(self, text, prefix):
+        with pytest.raises(fl.ConfigError) as info:
+            fl.parse_config(text)
+        assert str(info.value).startswith(prefix)
 
 
 class TestReadmeTable:

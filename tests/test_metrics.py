@@ -169,7 +169,7 @@ class TestEstimateQ:
         grid = fl.SamplingGrid(10e9, 1024, 8, 1550e-9)
         bits = fl.prbs_generate(9, 1, 1024)
         noise = np.random.default_rng(3).normal(0.0, 0.1, grid.n_samples)
-        wave = fl.ElectricalWaveform(fl.nrz_drive(bits, grid).samples + noise, grid)
+        wave = fl.ElectricalWaveform(fl.nrz_drive(bits, grid, 0.25).samples + noise, grid)
         q = fl.estimate_q(wave, bits, 8)
         column = q.eye.traces[:, q.decision_phase]
         ones = bits.bits[8:] == 1

@@ -131,7 +131,7 @@ class TestNrzDrive:
     def test_bit_count_mismatch(self, grid64):
         bits = fl.BitSequence(np.ones(32, dtype=np.uint8))
         with pytest.raises(ValueError, match="bits"):
-            fl.nrz_drive(bits, grid64)
+            fl.nrz_drive(bits, grid64, 0.25)
 
     @pytest.mark.parametrize("rt", [0.0, 0.5, 0.7, -0.1])
     def test_bad_rise_time(self, grid64, rt):
