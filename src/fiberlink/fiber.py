@@ -13,8 +13,7 @@ dB/km, 1/(W km) — and are converted to SI internally.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,6 +172,18 @@ class SsfmOptions:
         """The fixed-mode step dz of ``fiber``, in meters."""
         return fiber.length_km * 1e3 / self.fixed_steps(fiber)
 
+    def span_group(self, fiber: FiberParams) -> FiberParams | tuple[FiberParams, float]:
+        """The key that ``fiber`` shares with the spans it may resume or be resumed by.
+
+        At fixed steps the first n steps of a span are those of any longer span
+        of the same fiber apart from its length with the same dz, so the key is
+        the fiber at length 0 and its dz. Adaptive steps depend on the length,
+        so an adaptive span's key is the fiber itself.
+        """
+        if self.step_km is None:
+            return fiber
+        return replace(fiber, length_km=0.0), self.fixed_step_m(fiber)
+
 
 def propagate_fiber(
     field: OpticalField,
@@ -200,7 +211,7 @@ def propagate_fiber(
 
     This is :func:`propagate_span` from step 0.
     """
-    return propagate_span(field, fiber, options)
+    return propagate_span(field, fiber, options)[0]
 
 
 def propagate_span(
@@ -208,17 +219,16 @@ def propagate_span(
     fiber: FiberParams,
     options: SsfmOptions | None = None,
     start: tuple[np.ndarray, int] | None = None,
-    keep: Callable[[tuple[np.ndarray, int]], None] | None = None,
-) -> OpticalField:
+    keep: bool = False,
+) -> tuple[OpticalField, tuple[np.ndarray, int] | None]:
     """:func:`propagate_fiber`, resuming a fixed-step span mid-way or keeping its end.
 
-    At fixed steps the first n steps of a span are those of any longer span of
-    the same fiber, apart from its length, with the same step dz. ``start =
-    (spectrum, k)`` is the unclosed spectrum after k <= n steps of such a span
-    from the same input: the loop resumes at step k and reads only the grid of
-    ``field``. ``keep`` is called with the unclosed spectrum after the last
-    step and the step count, a ``start`` for a longer span. Adaptive steps
-    depend on the length, so adaptive mode does neither.
+    Returns the output field and ``end``: with ``keep`` set, the unclosed
+    spectrum after the last step and the step count, else None. ``start =
+    (spectrum, k)`` is the ``end`` of a span of k <= n steps in the same
+    :meth:`SsfmOptions.span_group` from the same input: the loop resumes at
+    step k and reads only the grid of ``field``. Only fixed-step spans resume
+    or are kept.
     """
     if options is None:
         options = SsfmOptions()
@@ -227,7 +237,7 @@ def propagate_span(
     grid = field.grid
     length_m = fiber.length_km * 1e3
     if length_m == 0.0:
-        return OpticalField(field.samples.copy(), grid)
+        return OpticalField(field.samples.copy(), grid), None
 
     beta2_si = d_to_beta2(fiber.dispersion_ps_nm_km, grid.center_wavelength) * 1e-27  # s^2/m
     alpha_si = loss_db_to_alpha(fiber.loss_db_km) * 1e-3  # 1/m
@@ -300,12 +310,9 @@ def propagate_span(
         # The last Kerr step left the field finite and already applied this half
         # (inside full), and |half| <= 1, so the closing half step cannot make
         # it non-finite. A kept spectrum stays unclosed.
-        if keep:
-            keep((spec, n_steps))
-            spec = spec * half
-        else:
-            spec *= half
-        return OpticalField(np.fft.ifft(spec, out=spec), grid)
+        end = (spec, n_steps) if keep else None
+        spec = np.multiply(spec, half, out=None if keep else spec)
+        return OpticalField(np.fft.ifft(spec, out=spec), grid), end
 
     tol = options.local_error
     coarse = np.empty_like(spec)
@@ -347,7 +354,7 @@ def propagate_span(
             h /= STEP_FACTOR
         elif delta < tol / 2.0:
             h *= STEP_FACTOR
-    return OpticalField(np.fft.ifft(spec, out=spec), grid)
+    return OpticalField(np.fft.ifft(spec, out=spec), grid), None
 
 
 def _mark_level_estimate(power: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -99,10 +98,6 @@ class SimSettings:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not (0 <= self.skip_bits < self.n_bits):
-            raise ValueError(
-                f"skip_bits must lie in [0, n_bits), got {self.skip_bits} for {self.n_bits} bits"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,9 +108,9 @@ class LinkConfig:
     chain :meth:`elements` builds; ``dcf`` supplies the other DCF parameters,
     and its own ``length_km`` must be 0. Construction checks what the modules
     must agree on: the DCF lengths and SMF span count, the fixed-mode step
-    count of each span, the sampling grid, the receive filter against the
-    grid's Nyquist frequency, the laser phase noise per sample, and enough
-    bits of each value for ``estimate_q``.
+    count of each span, the sampling grid and the warm-up bits within it, the
+    receive filter against the grid's Nyquist frequency, the laser phase noise
+    per sample, and enough bits of each value for ``estimate_q``.
     """
 
     n_smf_spans: int = 2
@@ -142,7 +137,10 @@ class LinkConfig:
         if self.sim.ssfm.step_km is not None:
             for fiber in self.elements()[::2]:  # every fiber; an amplifier follows each
                 self.sim.ssfm.fixed_steps(fiber)
-        grid = self.grid()
+        grid = self.grid()  # checks n_bits before skip_bits is checked against it
+        skip, n_bits = self.sim.skip_bits, self.sim.n_bits
+        if not 0 <= skip < n_bits:
+            raise ValueError(f"skip_bits must lie in [0, n_bits), got {skip} for {n_bits} bits")
         if not self.rx.bessel_bandwidth < 0.5 * grid.sample_rate:
             raise ValueError(
                 f"rx bessel_bandwidth {self.rx.bessel_bandwidth:.6g} Hz must be below "
@@ -204,22 +202,6 @@ def _streams(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(3)
 
 
-def _step(
-    k: int, element: FiberParams | AmplifierParams, field_: OpticalField,
-    amp_rng: np.random.Generator, ssfm: SsfmOptions, start: tuple[np.ndarray, int] | None,
-    keep: functools.partial | None,
-) -> OpticalField:
-    """``field_`` through element ``k``; ``start`` and ``keep`` as in :func:`propagate_span`."""
-    try:
-        if isinstance(element, AmplifierParams):
-            return amplify(field_, element, amp_rng)
-        if start or keep:
-            return propagate_span(field_, element, ssfm, start, keep)
-        return propagate_fiber(field_, element, ssfm)
-    except PropagationError as exc:
-        raise PropagationError(f"element {k} ({element.label}): {exc}") from exc
-
-
 def _finish(config: LinkConfig, bits: BitSequence, field_: OpticalField) -> LinkRunResult:
     received = receive(field_, config.rx, np.random.default_rng(_streams(config.sim.seed)[2]))
     q, elements = estimate_q(received, bits, config.sim.skip_bits), config.elements()
@@ -239,11 +221,12 @@ def _walk(configs: dict[int, LinkConfig]) -> Iterator[tuple[int, LinkRunResult |
     The chains form a tree: one root per seed, whose edge is the transmitter,
     and one child per distinct next element; a row ends at the node of its last
     element. The tree is walked depth first, with a field held only where a
-    node branches and the amplifier RNG copied for every child but the last to
-    run. Siblings run in ascending length, so a fixed-step fiber resumes the
-    unclosed spectrum of a shorter sibling with the same fiber apart from its
-    length and the same step dz (see :func:`propagate_span`). An edge that
-    fails gives its exception to every row below it.
+    node branches. The children of a node run in span groups (see
+    :meth:`SsfmOptions.span_group`; an amplifier is its own group), each in
+    ascending length, so a fixed-step fiber resumes the unclosed spectrum that
+    the group's previous span returned (see :func:`propagate_span`). Each
+    amplifier draws from its own copy of its branch's RNG. An edge that fails
+    gives its exception to every row below it.
     """
     roots: dict[int, tuple[LinkConfig, tuple[dict, list[int]]]] = {}
     for index, cfg in configs.items():
@@ -251,42 +234,45 @@ def _walk(configs: dict[int, LinkConfig]) -> Iterator[tuple[int, LinkRunResult |
         for element in cfg.elements():
             node = node[0].setdefault(element, ({}, []))
         node[1].append(index)
-    # (k, element, node, bits, input field, RNG, the spans its siblings keep, span
-    # group, keep); a root's edge is the transmitter, given as its first row's config.
-    stack = [(-1, cfg, root, None, None, None, {}, None, None) for cfg, root in roots.values()]
-    stack.reverse()
+    # (k, the (element, node) siblings of one span group still to run, bits, their
+    # input field, RNG, the checkpoint the group's last span returned); a root's
+    # edge is the transmitter, given as its first row's config.
+    stack = [(-1, [(cfg, root)], None, None, None, None) for cfg, root in roots.values()][::-1]
     while stack:
-        k, element, node, bits, field_, amp_rng, kept, group, keep = stack.pop()
+        k, group, bits, field_, rng, start = stack.pop()
+        (element, node), rest = group[0], group[1:]
+        out = end = None
         try:
-            if isinstance(element, LinkConfig):
-                ssfm, (tx_ss, amp_ss, _) = element.sim.ssfm, _streams(element.sim.seed)
-                bits, field_ = transmit(element.tx, element.grid(), np.random.default_rng(tx_ss))
-                amp_rng = np.random.default_rng(amp_ss)
-            else:
-                field_ = _step(k, element, field_, amp_rng, ssfm, kept.pop(group, None), keep)
+            try:
+                if isinstance(element, LinkConfig):
+                    ssfm, (tx_ss, amp_ss, _) = element.sim.ssfm, _streams(element.sim.seed)
+                    bits, out = transmit(element.tx, element.grid(), np.random.default_rng(tx_ss))
+                    rng = np.random.default_rng(amp_ss)
+                elif isinstance(element, AmplifierParams):
+                    rng = copy.deepcopy(rng)
+                    out = amplify(field_, element, rng)
+                elif start or rest:
+                    out, end = propagate_span(field_, element, ssfm, start, keep=bool(rest))
+                else:
+                    out = propagate_fiber(field_, element, ssfm)
+            except PropagationError as exc:
+                raise PropagationError(f"element {k} ({element.label}): {exc}") from exc
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
             yield from ((index, exc) for index in _leaves(node))
+        if rest:
+            stack.append((k, rest, bits, field_, rng, end))
+        if out is None:
             continue
         for index in node[1]:
             try:
-                yield index, _finish(configs[index], bits, field_)
+                yield index, _finish(configs[index], bits, out)
             except Exception as exc:  # noqa: BLE001 - row-level fault isolation
                 yield index, exc
-        # Pushed longest first, the children pop in ascending length, and the
-        # longest runs last on the RNG itself. A fixed-step fiber's span group is
-        # the fiber apart from its length and its dz; any other element is its own.
-        children = sorted(node[0].items(), key=lambda c: getattr(c[0], "length_km", 0.0))[::-1]
-        groups = [
-            (dataclasses.replace(el, length_km=0.0), ssfm.fixed_step_m(el))
-            if isinstance(el, FiberParams) and ssfm.step_km is not None else el
-            for el, _ in children
-        ]
-        kept = {}
-        for j, (el, child) in enumerate(children):
-            keeps = groups[j] in groups[:j]
-            keep = functools.partial(kept.__setitem__, groups[j]) if keeps else None
-            rng = copy.deepcopy(amp_rng) if j else amp_rng
-            stack.append((k + 1, el, child, bits, field_, rng, kept, groups[j], keep))
+        groups: dict[object, list] = {}
+        for el, child in sorted(node[0].items(), key=lambda c: getattr(c[0], "length_km", 0.0)):
+            key = ssfm.span_group(el) if isinstance(el, FiberParams) else el
+            groups.setdefault(key, []).append((el, child))
+        stack.extend((k + 1, g, bits, out, rng, None) for g in reversed(groups.values()))
 
 
 def run_link_full(config: LinkConfig) -> LinkRunResult:

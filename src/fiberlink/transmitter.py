@@ -197,8 +197,8 @@ def mz_modulate(
     v = drive.samples
     if np.any(v < 0.0) or np.any(v > 1.0):
         raise ValueError("drive samples must lie in [0, 1]")
-    er_lin = 10.0 ** (extinction_db / 10.0)
-    v_min = (2.0 / np.pi) * np.arcsin(1.0 / np.sqrt(er_lin))
+    # The amplitude floor 10^(-ER/20) = 1/sqrt(ER as a power ratio) cannot overflow.
+    v_min = (2.0 / np.pi) * np.arcsin(10.0 ** (-extinction_db / 20.0))
     v_eff = v_min + (1.0 - v_min) * v
     amp = np.sin(0.5 * np.pi * v_eff)
     return OpticalField(field.samples * amp, field.grid)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import signal
 import subprocess
 import sys
@@ -165,6 +166,18 @@ class TestRun:
         assert rc == 1
         assert "element 3 (AMP): dark input" in capsys.readouterr().err
         assert not (tmp_path / "result.csv").exists()
+
+    def test_huge_extinction_runs(self, tmp_path):
+        # 4000 dB overflows the power ratio 10^(ER/10), but not the amplitude floor
+        cfg = tmp_path / "er.cfg"
+        cfg.write_text(
+            "sim.n_bits = 64\nsim.samples_per_bit = 8\ntx.extinction_db = 4000\n",
+            encoding="utf-8",
+        )
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        [row] = read_rows(tmp_path / "result.csv")
+        assert math.isfinite(float(row[3]))
 
     @pytest.mark.parametrize(
         ("text", "message"),

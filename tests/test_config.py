@@ -348,6 +348,15 @@ class TestRangeErrors:
             fl.parse_config(text)
         assert str(info.value).startswith(prefix)
 
+    @pytest.mark.parametrize(
+        "text", ["sim.n_bits = 0", "sim.n_bits = 8", "sim.n_bits = 8\nsim.skip_bits = 0"]
+    )
+    def test_too_few_bits_names_n_bits(self, text):
+        # the grid's own rule comes first, not skip_bits < n_bits
+        with pytest.raises(fl.ConfigError) as info:
+            fl.parse_config(text)
+        assert str(info.value).startswith("line 1: key 'sim.n_bits': n_bits must be at least 16")
+
 
 class TestReadmeTable:
     def test_keys_are_the_schema(self):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fiberlink as fl
 from conftest import centred_time
@@ -260,6 +262,7 @@ class TestLinearPropagation:
 class TestNonlinearPropagation:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=513)  # the first trial's Kerr phase, 3.24 rad, cuts its split step short
     def test_energy_conserved_lossless(self, seed):
         rng = np.random.default_rng(seed)
         scale = 0.03
@@ -278,9 +281,16 @@ class TestNonlinearPropagation:
         with pytest.MonkeyPatch.context() as mp:
             ffts = count_ffts(mp)
             out = fl.propagate_fiber(field, fiber)
-        trials = ffts.count("fft") // 3  # one forward FFT in, three per trial
-        assert ffts == held_as_spectrum(3 * trials)
-        bound = (1.0 + 16.0 * tol**2 / 9.0) ** trials - 1.0
+        # Held as its spectrum: one forward FFT in, one inverse out, and three
+        # split steps (an inverse + forward pair each) per trial. A split step
+        # over MAX_STEP_PHASE rejects its trial after its inverse FFT, so an
+        # inverse FFT with no forward one after it ends that trial. The last
+        # trial is accepted, so it is whole.
+        assert ffts[0] == "fft" and ffts[-1] == "ifft"
+        calls = "".join(f"{name} " for name in ffts[1:-1])
+        trials = re.findall(r"(?:ifft fft ){0,2}ifft (?!fft)|(?:ifft fft ){3}", calls)
+        assert "".join(trials) == calls and trials[-1] == "ifft fft " * 3
+        bound = (1.0 + 16.0 * tol**2 / 9.0) ** len(trials) - 1.0
         energy_in = np.sum(np.abs(field.samples) ** 2) * GRID64.dt
         energy_out = np.sum(np.abs(out.samples) ** 2) * GRID64.dt
         assert energy_out == pytest.approx(energy_in, rel=bound, abs=0)
@@ -372,6 +382,30 @@ class TestNonlinearPropagation:
         ffts = count_ffts(monkeypatch)
         fl.propagate_fiber(cw_field(), CW_SPAN, options)
         assert ffts == held_as_spectrum(split_steps)
+
+    def test_span_resumes_from_kept_end(self):
+        # 2 km and 4 km of one fiber at 1 km steps share their first 2 steps
+        rng = np.random.default_rng(7)
+        samples = 0.1 * (rng.normal(size=GRID64.n_samples) + 1j * rng.normal(size=GRID64.n_samples))
+        field = fl.OpticalField(samples, GRID64)
+        options = fl.SsfmOptions(step_km=1.0)
+        short, long_ = (fl.FiberParams(km, 16.0, 0.2, 1.3) for km in (2.0, 4.0))
+        assert options.span_group(short) == options.span_group(long_)
+        out, end = fl.propagate_span(field, short, options, keep=True)
+        assert end[1] == 2
+        assert np.array_equal(out.samples, fl.propagate_fiber(field, short, options).samples)
+        resumed, not_kept = fl.propagate_span(field, long_, options, start=end)
+        assert not_kept is None
+        assert np.array_equal(resumed.samples, fl.propagate_fiber(field, long_, options).samples)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"start": (np.zeros(GRID64.n_samples, complex), 1)}, {"keep": True}],
+        ids=["start", "keep"],
+    )
+    def test_adaptive_span_neither_resumes_nor_is_kept(self, kwargs):
+        fiber = fl.FiberParams(2.0, 16.0, 0.2, 1.3)
+        with pytest.raises(ValueError, match="only a fixed-step span can resume or be kept"):
+            fl.propagate_span(cw_field(), fiber, fl.SsfmOptions(), **kwargs)
 
     @pytest.mark.parametrize(("options", "steps", "split_steps"), CW_CASES, ids=["fixed", "adaptive"])
     def test_step_cap(self, monkeypatch, options, steps, split_steps):
