@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config, read_config_text
-from .link import LinkConfig, dispersion_profile, run_link_full, sweep
+from .link import LinkConfig, SweepRow, _sweep_row, dispersion_profile, run_link_full, sweep
 from .metrics import format_eye
 
 __all__ = ["main", "CSV_HEADER"]
@@ -25,11 +25,10 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _row_csv(pre: float, post: float, residual: float | None, q_db: float | None,
-             ber: float | None, jitter_ns: float | None, seed: int) -> str:
-    return ",".join(
-        [_fmt(pre), _fmt(post), _fmt(residual), _fmt(q_db), _fmt(ber), _fmt(jitter_ns), str(seed)]
-    )
+def _row_csv(row: SweepRow) -> str:
+    """One CSV_HEADER line of ``row``; a failed row leaves its result columns empty."""
+    numbers = (row.pre_km, row.post_km, row.residual_ps_nm, row.q_db, row.ber, row.jitter_ns)
+    return ",".join([*map(_fmt, numbers), str(row.seed)])
 
 
 def _load_config(path: str | None, seed: int | None) -> LinkConfig:
@@ -60,19 +59,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     q = result.q
-    row = _row_csv(
-        config.pre_length_km,
-        config.post_length_km,
-        result.residual_ps_nm,
-        q.q_db,
-        q.ber,
-        q.jitter_ns,
-        result.seed,
-    )
+    row = _sweep_row(config.pre_length_km, config.post_length_km, result.seed, result)
     with open(out_dir / "eye.txt", "w", encoding="utf-8") as eye_file:
         format_eye(result.q.eye, eye_file)
     # Last, so that a result.csv is only ever left by a run that wrote all its output.
-    (out_dir / "result.csv").write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
+    (out_dir / "result.csv").write_text(f"{CSV_HEADER}\n{_row_csv(row)}\n", encoding="utf-8")
     print(f"q_db = {_fmt(q.q_db)}")
     print(f"ber = {_fmt(q.ber)}")
     print(f"jitter_ns = {_fmt(q.jitter_ns)}")
@@ -95,10 +86,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [CSV_HEADER]
     failures = 0
     for row in rows:
-        lines.append(
-            _row_csv(row.pre_km, row.post_km, row.residual_ps_nm, row.q_db, row.ber,
-                     row.jitter_ns, row.seed)
-        )
+        lines.append(_row_csv(row))
         if row.error is not None:
             failures += 1
             print(

@@ -46,19 +46,20 @@ def _parse_float(text: str) -> float:
         raise ValueError(f"expected a number, got {text!r}") from None
 
 
-def _parse_amp_mode(text: str) -> tuple[str, float | None]:
+def _parse_amp_mode(text: str) -> float | None:
+    """The gain of ``fixed:<dB>``, or None for ``restore``."""
     if text == "restore":
-        return ("restore", None)
+        return None
     if text.startswith("fixed:"):
-        return ("fixed", _parse_float(text[len("fixed:") :]))
+        return _parse_float(text[len("fixed:") :])
     raise ValueError(f"expected 'restore' or 'fixed:<dB>', got {text!r}")
 
 
 # key -> (value parser, LinkConfig field path, power of ten from the key's unit
 # to the field's SI unit). The parsers check syntax only: defaults and ranges
-# live in the dataclasses. A parser that returns a tuple sets one field per path. Negative
-# powers divide: 1550 / 1e9 is the double nearest 1550e-9, 1550 * 1e-9 is not.
-_SCHEMA: dict[str, tuple[Callable[[str], Any], str | tuple[str, ...], int]] = {
+# live in the dataclasses. Negative powers divide: 1550 / 1e9 is the double
+# nearest 1550e-9, 1550 * 1e-9 is not.
+_SCHEMA: dict[str, tuple[Callable[[str], Any], str, int]] = {
     "link.n_smf_spans": (_parse_int, "n_smf_spans", 0),
     "smf.length_km": (_parse_float, "smf.length_km", 0),
     "smf.dispersion_ps_nm_km": (_parse_float, "smf.dispersion_ps_nm_km", 0),
@@ -81,7 +82,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str | tuple[str, ...], int]] = {
     "rx.shot_noise": (_parse_bool, "rx.shot_noise", 0),
     "rx.bessel_order": (_parse_int, "rx.bessel_order", 0),
     "rx.bessel_bw_ghz": (_parse_float, "rx.bessel_bandwidth", 9),
-    "amp.mode": (_parse_amp_mode, ("amp.mode", "amp.gain_db"), 0),
+    "amp.mode": (_parse_amp_mode, "amp.gain_db", 0),
     "amp.ase": (_parse_bool, "amp.ase_enabled", 0),
     "amp.noise_figure_db": (_parse_float, "amp.noise_figure_db", 0),
     "sim.n_bits": (_parse_int, "sim.n_bits", 0),
@@ -135,9 +136,6 @@ def parse_config(text: str) -> LinkConfig:
             value = parse(value_text)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from None
-        if isinstance(path, tuple):
-            settings[key] = (lineno, dict(zip(path, value)))
-            continue
         if power:
             value = value * 10.0**power if power > 0 else value / 10.0**-power
             if not math.isfinite(value):

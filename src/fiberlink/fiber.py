@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -98,29 +99,26 @@ class FiberParams:
 
 @dataclass(frozen=True, slots=True)
 class AmplifierParams:
-    """Lumped optical amplifier: fixed gain or restore-to-target.
+    """Lumped optical amplifier: restore-to-target when ``gain_db`` is None, else a fixed gain.
 
-    In ``restore`` mode the gain is chosen so the estimated mark level of the
-    incoming signal is brought to ``target_dbm``. ``target_dbm = None`` is a
-    placeholder meaning "resolve against the transmitter launch power"; it
-    must be resolved before :func:`amplify` is called.
+    A restoring amplifier brings the estimated mark level of the incoming
+    signal to ``target_dbm``. ``target_dbm = None`` is a placeholder meaning
+    "resolve against the transmitter launch power"; it must be resolved before
+    :func:`amplify` is called. A fixed gain has no target.
     """
 
-    mode: str = "restore"
-    target_dbm: float | None = None
+    label: ClassVar[str] = "AMP"
     gain_db: float | None = None
+    target_dbm: float | None = None
     ase_enabled: bool = False
     noise_figure_db: float = 5.0
-    label: str = "AMP"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("restore", "fixed"):
-            raise ValueError(f"mode must be 'restore' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed":
-            if self.gain_db is None:
-                raise ValueError("fixed mode requires gain_db")
-            if self.gain_db < 0 or not finite_db(self.gain_db):
+        if self.gain_db is not None:
+            if not (self.gain_db >= 0 and finite_db(self.gain_db)):
                 raise ValueError(f"gain_db must be >= 0 and a finite ratio, got {self.gain_db}")
+            if self.target_dbm is not None:
+                raise ValueError(f"a fixed gain_db has no target_dbm, got {self.target_dbm}")
         if self.target_dbm is not None and not finite_db(self.target_dbm):
             raise ValueError(f"target_dbm must be finite in W, got {self.target_dbm}")
         if not finite_db(self.noise_figure_db):
@@ -378,15 +376,15 @@ def amplify(
 
     ASE is injected as circular complex Gaussian noise with per-sample power
     ``(G - 1) * n_sp * h * nu * B_sim`` where ``n_sp = 10**(NF/10) / 2`` and
-    ``B_sim`` is the simulation bandwidth ``1/dt``. A restore-mode amplifier
+    ``B_sim`` is the simulation bandwidth ``1/dt``. A restoring amplifier
     raises :class:`PropagationError` on a dark input: it has no level to restore.
     """
     p = np.abs(field.samples) ** 2
-    if amp.mode == "fixed":
+    if amp.gain_db is not None:
         g_lin = 10.0 ** (amp.gain_db / 10.0)
     else:
         if amp.target_dbm is None:
-            raise ValueError("restore-mode amplifier has no resolved target_dbm")
+            raise ValueError("restoring amplifier has no resolved target_dbm")
         est = _mark_level_estimate(p)
         if est <= 0.0:
             raise PropagationError(f"dark input: mark-level power {est:.6g} W, nothing to restore")

@@ -170,11 +170,11 @@ class LinkConfig:
         """The element chain of the dispersion map, each fiber followed by ``amp``.
 
         DCF-pre when its length is > 0, the SMF spans, then DCF-post when its
-        length is > 0. A restore-mode ``amp`` without a target restores the
+        length is > 0. A restoring ``amp`` without a target restores the
         launch power.
         """
         amp, pre, post = self.amp, self.pre_length_km, self.post_length_km
-        if amp.mode == "restore" and amp.target_dbm is None:
+        if amp.gain_db is None and amp.target_dbm is None:
             amp = dataclasses.replace(amp, target_dbm=self.tx.launch_power_dbm)
         fibers = [self.smf] * self.n_smf_spans
         if pre > 0:
@@ -191,7 +191,6 @@ class LinkRunResult:
     q: QResult
     bits: BitSequence
     received: ElectricalWaveform
-    grid: SamplingGrid
     elements: tuple[FiberParams | AmplifierParams, ...]
     residual_ps_nm: float
     seed: int
@@ -206,7 +205,7 @@ def _finish(config: LinkConfig, bits: BitSequence, field_: OpticalField) -> Link
     received = receive(field_, config.rx, np.random.default_rng(_streams(config.sim.seed)[2]))
     q, elements = estimate_q(received, bits, config.sim.skip_bits), config.elements()
     return LinkRunResult(
-        q, bits, received, config.grid(), elements, residual_dispersion(elements), config.sim.seed
+        q, bits, received, elements, residual_dispersion(elements), config.sim.seed
     )
 
 

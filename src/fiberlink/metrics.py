@@ -126,13 +126,6 @@ class QResult:
             raise ValueError(f"jitter_ns must be >= 0, got {self.jitter_ns}")
 
 
-def _as_bit_array(bits: BitSequence | np.ndarray) -> np.ndarray:
-    arr = bits.bits if isinstance(bits, BitSequence) else np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bits must be a 1-D array of 0s and 1s")
-    return arr
-
-
 def fold_eye(wave: ElectricalWaveform, skip_bits: int) -> EyeDiagram:
     """Fold a waveform into per-bit traces and locate threshold crossings.
 
@@ -183,7 +176,7 @@ def _recover_delay(wave: np.ndarray, bits: np.ndarray, spb: int) -> int:
     return int(np.argmax(corr))
 
 
-def estimate_q(wave: ElectricalWaveform, bits: BitSequence | np.ndarray, skip_bits: int) -> QResult:
+def estimate_q(wave: ElectricalWaveform, bits: BitSequence, skip_bits: int) -> QResult:
     """Estimate Q, BER, and jitter from a received waveform and known data.
 
     The waveform is aligned to the transmitted pattern by circular
@@ -191,7 +184,7 @@ def estimate_q(wave: ElectricalWaveform, bits: BitSequence | np.ndarray, skip_bi
     at every sample phase; the phase maximizing q decides the result.
     """
     grid = wave.grid
-    b = _as_bit_array(bits)
+    b = bits.bits
     if b.size != grid.n_bits:
         raise ValueError(f"got {b.size} bits for a grid of {grid.n_bits} bit slots")
 

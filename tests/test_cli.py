@@ -85,6 +85,13 @@ class TestRun:
         assert (out_a / "result.csv").read_bytes() == (out_b / "result.csv").read_bytes()
         assert (out_a / "eye.txt").read_bytes() == (out_b / "eye.txt").read_bytes()
 
+    def test_result_row_equals_sweep_row(self, cfg_file, tmp_path):
+        run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+        assert main(["run", "--config", cfg_file, "--out", str(run_out)]) == 0
+        argv = ["sweep", "--config", cfg_file, "--pre", "2.4", "--post", "2.4"]
+        assert main([*argv, "--out", str(sweep_out)]) == 0
+        assert (run_out / "result.csv").read_bytes() == (sweep_out / "sweep.csv").read_bytes()
+
     def test_seed_override(self, cfg_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", cfg_file, "--out", str(out_a)]) == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import re
 import textwrap
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fiberlink as fl
-from fiberlink.config import KNOWN_KEYS
+from fiberlink.config import _SCHEMA, KNOWN_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,7 +46,7 @@ class TestDefaults:
         assert cfg.rx.shot_noise is True
         assert cfg.rx.bessel_order == 4
         assert cfg.rx.bessel_bandwidth == pytest.approx(8e9)
-        assert cfg.amp.mode == "restore"
+        assert cfg.amp.gain_db is None
         assert cfg.amp.target_dbm is None
         assert cfg.amp.ase_enabled is False
         assert cfg.amp.noise_figure_db == 5.0
@@ -128,15 +130,24 @@ class TestSchemeDefaults:
         assert cfg.post_length_km == 24.0
 
 
+class TestSchema:
+    def test_each_key_sets_its_own_field(self):
+        paths = [path for _, path, _ in _SCHEMA.values()]
+        assert len(set(paths)) == len(paths)
+        for path in paths:
+            assert isinstance(path, str)
+            *owners, name = path.split(".")
+            owner = functools.reduce(getattr, owners, fl.LinkConfig())
+            assert name in {f.name for f in dataclasses.fields(owner)}, path
+
+
 class TestAmpMode:
     def test_fixed_gain_parse(self):
         cfg = fl.parse_config("amp.mode = fixed:17.5")
-        assert cfg.amp.mode == "fixed"
         assert cfg.amp.gain_db == 17.5
 
     def test_restore_parse(self):
         cfg = fl.parse_config("amp.mode = restore")
-        assert cfg.amp.mode == "restore"
         assert cfg.amp.gain_db is None
 
     def test_bad_mode_rejected(self):

@@ -156,13 +156,13 @@ class TestParamValidation:
 
     def test_amplifier_params(self):
         with pytest.raises(ValueError, match="gain_db"):
-            fl.AmplifierParams(mode="fixed")
-        with pytest.raises(ValueError):
-            fl.AmplifierParams(mode="fixed", gain_db=-3.0)
-        with pytest.raises(ValueError, match="mode"):
-            fl.AmplifierParams(mode="agc")
+            fl.AmplifierParams(gain_db=-3.0)
+        with pytest.raises(ValueError, match="gain_db"):
+            fl.AmplifierParams(gain_db=float("nan"))
+        with pytest.raises(ValueError, match="target_dbm"):
+            fl.AmplifierParams(gain_db=10.0, target_dbm=3.0)
         with pytest.raises(ValueError, match="noise_figure"):
-            fl.AmplifierParams(mode="fixed", gain_db=10.0, ase_enabled=True, noise_figure_db=2.0)
+            fl.AmplifierParams(gain_db=10.0, ase_enabled=True, noise_figure_db=2.0)
 
     def test_ssfm_options(self):
         with pytest.raises(ValueError):
@@ -445,25 +445,25 @@ class TestNonlinearPropagation:
 class TestAmplify:
     def test_fixed_zero_db_identity(self):
         pulse = gaussian(GRID64)
-        out = fl.amplify(pulse, fl.AmplifierParams(mode="fixed", gain_db=0.0))
+        out = fl.amplify(pulse, fl.AmplifierParams(gain_db=0.0))
         np.testing.assert_allclose(out.samples, pulse.samples, rtol=1e-14)
 
     def test_fixed_gain_power(self):
         pulse = gaussian(GRID64)
-        out = fl.amplify(pulse, fl.AmplifierParams(mode="fixed", gain_db=24.0))
+        out = fl.amplify(pulse, fl.AmplifierParams(gain_db=24.0))
         ratio = np.mean(np.abs(out.samples) ** 2) / np.mean(np.abs(pulse.samples) ** 2)
         assert ratio == pytest.approx(10 ** 2.4, rel=1e-12)
 
     def test_restore_constant_field_exact(self):
         field = fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(4e-6), dtype=complex), GRID64)
-        out = fl.amplify(field, fl.AmplifierParams(mode="restore", target_dbm=0.0))
+        out = fl.amplify(field, fl.AmplifierParams(target_dbm=0.0))
         np.testing.assert_allclose(np.abs(out.samples) ** 2, 1e-3, rtol=1e-12)
 
     def test_restore_after_lossy_span(self):
         bits, field = fl.transmit(fl.TxConfig(linewidth_hz=0.0), GRID64)
         lossy = fl.FiberParams(120.0, 0.0, 0.2, 0.0)
         attenuated = fl.propagate_fiber(field, lossy)
-        restored = fl.amplify(attenuated, fl.AmplifierParams(mode="restore", target_dbm=0.0))
+        restored = fl.amplify(attenuated, fl.AmplifierParams(target_dbm=0.0))
         spb = GRID64.samples_per_bit
         power = np.abs(restored.samples.reshape(64, spb)) ** 2
         marks = power[bits.bits == 1, spb // 4 : (3 * spb) // 4]
@@ -472,19 +472,17 @@ class TestAmplify:
     def test_restore_dark_input_raises(self):
         field = fl.OpticalField(np.zeros(GRID64.n_samples, dtype=complex), GRID64)
         with pytest.raises(fl.PropagationError, match="dark input"):
-            fl.amplify(field, fl.AmplifierParams(mode="restore", target_dbm=0.0))
+            fl.amplify(field, fl.AmplifierParams(target_dbm=0.0))
 
     def test_restore_unresolved_target_rejected(self):
         field = gaussian(GRID64)
         with pytest.raises(ValueError, match="target"):
-            fl.amplify(field, fl.AmplifierParams(mode="restore", target_dbm=None))
+            fl.amplify(field, fl.AmplifierParams(target_dbm=None))
 
     def test_ase_noise_power(self):
         p_in = 1e-5
         field = fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(p_in), dtype=complex), GRID64)
-        amp = fl.AmplifierParams(
-            mode="fixed", gain_db=20.0, ase_enabled=True, noise_figure_db=5.0
-        )
+        amp = fl.AmplifierParams(gain_db=20.0, ase_enabled=True, noise_figure_db=5.0)
         out = fl.amplify(field, amp, np.random.default_rng(11))
         g = 100.0
         nsp = 10 ** 0.5 / 2.0
@@ -496,19 +494,19 @@ class TestAmplify:
 
     def test_no_ase_below_unity_gain(self):
         field = gaussian(GRID64, peak_w=1e-3)
-        amp = fl.AmplifierParams(mode="fixed", gain_db=0.0, ase_enabled=True)
+        amp = fl.AmplifierParams(gain_db=0.0, ase_enabled=True)
         out = fl.amplify(field, amp, np.random.default_rng(3))
         np.testing.assert_allclose(out.samples, field.samples, rtol=1e-14)
 
     def test_ase_requires_rng(self):
         field = gaussian(GRID64)
-        amp = fl.AmplifierParams(mode="fixed", gain_db=10.0, ase_enabled=True)
+        amp = fl.AmplifierParams(gain_db=10.0, ase_enabled=True)
         with pytest.raises(ValueError, match="rng"):
             fl.amplify(field, amp)
 
     def test_ase_deterministic_for_seed(self):
         field = gaussian(GRID64)
-        amp = fl.AmplifierParams(mode="fixed", gain_db=10.0, ase_enabled=True)
+        amp = fl.AmplifierParams(gain_db=10.0, ase_enabled=True)
         a = fl.amplify(field, amp, np.random.default_rng(5))
         b = fl.amplify(field, amp, np.random.default_rng(5))
         np.testing.assert_array_equal(a.samples, b.samples)

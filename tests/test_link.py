@@ -123,12 +123,12 @@ class TestLinkConfig:
     def test_restore_target_resolves_to_launch_power(self):
         cfg = dataclasses.replace(fl.LinkConfig(), tx=fl.TxConfig(launch_power_dbm=3.0))
         amp = cfg.elements()[1]
-        assert amp.mode == "restore"
+        assert amp.gain_db is None
         assert amp.target_dbm == 3.0
 
     def test_explicit_amp_target_kept(self):
         cfg = dataclasses.replace(
-            fl.LinkConfig(), amp=fl.AmplifierParams(mode="restore", target_dbm=-2.0)
+            fl.LinkConfig(), amp=fl.AmplifierParams(target_dbm=-2.0)
         )
         assert cfg.elements()[1].target_dbm == -2.0
 
@@ -201,7 +201,7 @@ class TestRunLink:
         assert result.residual_ps_nm == pytest.approx(
             fl.residual_dispersion(result.elements)
         )
-        assert result.grid.n_bits == 64
+        assert result.received.grid.n_bits == 64
         assert result.q.eye.traces.shape == (56, 16)
         assert result.q.ber <= 0.5
 
@@ -219,7 +219,7 @@ class TestRunLink:
         result = fl.run_link_full(small_link_config())
         assert len(calls) == 1
         aligned = fl.ElectricalWaveform(
-            np.roll(result.received.samples, -result.q.delay_samples), result.grid
+            np.roll(result.received.samples, -result.q.delay_samples), result.received.grid
         )
         expected = fold(aligned, 8)
         np.testing.assert_array_equal(result.q.eye.traces, expected.traces)

@@ -156,7 +156,7 @@ class TestEstimateQ:
         grid = fl.SamplingGrid(10e9, 1024, 8, 1550e-9)
         levels = bits.astype(np.float64) + rng.normal(0.0, 0.1, 1024)
         wave = fl.ElectricalWaveform(np.repeat(levels, 8), grid)
-        q = fl.estimate_q(wave, bits, 8)
+        q = fl.estimate_q(wave, fl.BitSequence(bits), 8)
         kept = levels[8:]
         expected = fl.q_from_rails(kept[bits[8:] == 1], kept[bits[8:] == 0])
         assert q.q_linear == pytest.approx(expected.q_linear, rel=1e-9)
@@ -200,12 +200,12 @@ class TestEstimateQ:
         bits[:3] = 1
         wave = fl.ElectricalWaveform(ideal_nrz(bits, GRID), GRID)
         with pytest.raises(ValueError, match="8 bits"):
-            fl.estimate_q(wave, bits, 8)
+            fl.estimate_q(wave, fl.BitSequence(bits), 8)
 
     def test_bit_count_mismatch(self):
         wave = fl.ElectricalWaveform(np.zeros(GRID.n_samples), GRID)
         with pytest.raises(ValueError, match="bits"):
-            fl.estimate_q(wave, np.ones(32, dtype=np.uint8), 8)
+            fl.estimate_q(wave, fl.BitSequence(np.ones(32, dtype=np.uint8)), 8)
 
     def test_jitter_tiny_for_symmetric_pattern(self):
         # identical rise/fall transitions leave only the sub-sample crossing
