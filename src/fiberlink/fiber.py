@@ -40,9 +40,13 @@ MAX_STEPS_PER_SPAN = 100_000
 # Largest Kerr phase gamma*|A|^2*dz one split step may apply, in rad. The
 # documented runs stay below 0.04 rad; a step over pi does not resolve the SPM.
 MAX_STEP_PHASE = math.pi
+# Length of an adaptive fiber's first trial, in m, whatever the fiber's length:
+# on the default run a 5 km start takes the fewest trials of 2, 5, 10 and 20 km.
+FIRST_TRIAL_M = 5e3
 # Relative local errors an adaptive step may be held to. On the default run,
-# 1e-8 takes ~1,000 trials per span, 1% of the cap and ~60x the 1e-4 default;
-# at 1e-3, Q is already off by ~0.06 dB, and above it a few trials span a fiber.
+# 1e-8 takes ~1,000 trials per span, 1% of the cap and ~70x the 1e-4 default.
+# 1e-3 takes 26 trials, the fewest that growth by STEP_FACTOR from
+# FIRST_TRIAL_M allows, so a looser tolerance would take the same steps.
 LOCAL_ERROR_RANGE = (1e-8, 1e-3)
 # How far an accepted trial changes h: the local error of a step scales as h^3.
 STEP_FACTOR = 2.0 ** (1.0 / 3.0)
@@ -202,10 +206,10 @@ def propagate_fiber(
     most ``2 * local_error``, as ``(4 U_f - U_c) / 3``; otherwise h is halved
     and the trial retried. After an accepted trial h shrinks by 2^(1/3) when
     ``delta > local_error`` and grows by 2^(1/3) when ``delta < local_error / 2``.
-    The first trial spans the whole fiber. A step whose Kerr phase is over
-    ``MAX_STEP_PHASE`` fails a fixed-step span and rejects an adaptive trial.
-    The total distance integrated is ``fiber.length_km``. The input field is
-    left untouched.
+    The first trial is ``FIRST_TRIAL_M`` long, or the whole fiber if that is
+    shorter. A step whose Kerr phase is over ``MAX_STEP_PHASE`` fails a
+    fixed-step span and rejects an adaptive trial. The total distance
+    integrated is ``fiber.length_km``. The input field is left untouched.
 
     This is :func:`propagate_span` from step 0.
     """
@@ -240,9 +244,10 @@ def propagate_span(
     beta2_si = d_to_beta2(fiber.dispersion_ps_nm_km, grid.center_wavelength) * 1e-27  # s^2/m
     alpha_si = loss_db_to_alpha(fiber.loss_db_km) * 1e-3  # 1/m
     gamma_si = fiber.gamma_per_w_km * 1e-3  # 1/(W m)
-    omega = grid.omega()
-    # Per-meter exponent of the linear (frequency-domain) operator.
-    lin_rate = 0.5j * beta2_si * omega**2 - 0.5 * alpha_si
+    # Per-meter exponent of the linear operator over bins 0..n/2. fftfreq makes
+    # omega[n - k] exactly -omega[k], so set_ops mirrors it into bins n/2+1..n-1.
+    n, m = grid.n_samples, grid.n_samples // 2 + 1
+    lin_rate = 0.5j * beta2_si * grid.omega()[:m] ** 2 - 0.5 * alpha_si
     if options.step_km is not None:
         n_steps = options.fixed_steps(fiber)
 
@@ -259,6 +264,7 @@ def propagate_span(
     half = np.empty_like(spec)
     full = np.empty_like(spec)
     phase = 0.0  # the largest Kerr phase of the last split step
+    built = math.nan  # the dz that half and full were last built for
 
     def split_step(src: np.ndarray, dst: np.ndarray, op: np.ndarray, dz: float) -> bool:
         """Spectrum ``dst`` = linear operator ``op``, then Kerr rotation over ``dz``, on ``src``.
@@ -290,9 +296,14 @@ def propagate_span(
         return float(power.sum())
 
     def set_ops(dz: float) -> None:
-        """``half`` = the linear operator over dz / 2, ``full`` = over dz."""
-        np.multiply(lin_rate, dz / 2.0, out=half)
-        np.exp(half, out=half)
+        """``half`` = the linear operator over dz / 2, ``full`` = over dz, unless built for dz."""
+        nonlocal built
+        if dz == built:
+            return
+        built = dz
+        np.multiply(lin_rate, dz / 2.0, out=half[:m])
+        np.exp(half[:m], out=half[:m])
+        half[m:] = half[1 : n - m + 1][::-1]
         np.multiply(half, half, out=full)
 
     if options.step_km is not None:
@@ -315,7 +326,7 @@ def propagate_span(
     tol = options.local_error
     coarse = np.empty_like(spec)
     fine = np.empty_like(spec)
-    remaining, h, trials = length_m, length_m / 2.0, 0
+    remaining, h, trials = length_m, FIRST_TRIAL_M / 2.0, 0
     while remaining > 0.0:
         h = min(h, remaining / 2.0)
         if remaining - 2.0 * h == remaining or trials == MAX_STEPS_PER_SPAN:
@@ -379,13 +390,12 @@ def amplify(
     ``B_sim`` is the simulation bandwidth ``1/dt``. A restoring amplifier
     raises :class:`PropagationError` on a dark input: it has no level to restore.
     """
-    p = np.abs(field.samples) ** 2
     if amp.gain_db is not None:
         g_lin = 10.0 ** (amp.gain_db / 10.0)
     else:
         if amp.target_dbm is None:
             raise ValueError("restoring amplifier has no resolved target_dbm")
-        est = _mark_level_estimate(p)
+        est = _mark_level_estimate(np.abs(field.samples) ** 2)
         if est <= 0.0:
             raise PropagationError(f"dark input: mark-level power {est:.6g} W, nothing to restore")
         g_lin = dbm_to_watts(amp.target_dbm) / est

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
 from conftest import centred_time
@@ -60,7 +60,7 @@ def allocating_ssfm(field, fiber, options):
         return np.fft.fft(kerr(np.fft.ifft(s * op), dz))
 
     s = np.fft.fft(e)
-    tol, remaining, h = options.local_error, length_m, length_m / 2.0
+    tol, remaining, h = options.local_error, length_m, fl.fiber.FIRST_TRIAL_M / 2.0
     while remaining > 0.0:
         h = min(h, remaining / 2.0)
         half = np.exp(lin_rate * (h / 2.0))
@@ -107,10 +107,11 @@ def held_as_spectrum(steps):
 
 # CW on a lossless, dispersionless span: fixed mode takes ceil(10 / 0.3) = 34
 # steps. The local-error estimate is round-off there, so adaptive mode accepts
-# its first trial, over the whole span: a coarse step and two fine ones. Per
-# mode: options, steps or trials counted against MAX_STEPS_PER_SPAN, split steps.
+# every trial: the first over FIRST_TRIAL_M = 5 km, the second over the 5 km
+# left, each a coarse step and two fine ones. Per mode: options, steps or
+# trials counted against MAX_STEPS_PER_SPAN, split steps.
 CW_SPAN = fl.FiberParams(10.0, 0.0, 0.0, 2.0)
-CW_CASES = [(fl.SsfmOptions(step_km=0.3), 34, 34), (fl.SsfmOptions(), 1, 3)]
+CW_CASES = [(fl.SsfmOptions(step_km=0.3), 34, 34), (fl.SsfmOptions(), 2, 6)]
 
 
 class TestConversions:
@@ -242,41 +243,46 @@ class TestLinearPropagation:
         err = np.linalg.norm(out.samples - field.samples) / np.linalg.norm(field.samples)
         assert err < 1e-6
 
-    def test_adaptive_linear_single_step_exact(self, monkeypatch):
-        # with gamma = 0 the coarse and fine steps agree to round-off, so the
-        # adaptive integrator takes the span in one trial, which must match
-        # the closed-form frequency-domain operator
+    @pytest.mark.parametrize(
+        ("length_km", "trials"), [(80.0, 8), (1.0, 1), (0.001, 1)], ids=["80km", "1km", "1m"]
+    )
+    def test_adaptive_linear_span_exact(self, monkeypatch, length_km, trials):
+        # with gamma = 0 the coarse and fine steps agree to round-off, so every
+        # trial is accepted and h grows by 2^(1/3) after each: 80 km takes
+        # 5 + 6.3 + ... + 20 = 77.7 km in 7 trials and the rest in an 8th. A
+        # fiber shorter than FIRST_TRIAL_M is one trial. The product of the
+        # steps' operators must match the closed-form frequency-domain operator.
         pulse = gaussian(GRID64)
-        fiber = fl.FiberParams(80.0, 16.0, 0.25, 0.0)
+        fiber = fl.FiberParams(length_km, 16.0, 0.25, 0.0)
         ffts = count_ffts(monkeypatch)
         out = fl.propagate_fiber(pulse, fiber)
-        assert ffts == held_as_spectrum(3)
+        assert ffts == held_as_spectrum(3 * trials)
         omega = GRID64.omega()
         beta2 = fl.d_to_beta2(16.0, 1550e-9) * 1e-27
         alpha = fl.loss_db_to_alpha(0.25) * 1e-3
-        op = np.exp((0.5j * beta2 * omega**2 - 0.5 * alpha) * 80e3)
+        op = np.exp((0.5j * beta2 * omega**2 - 0.5 * alpha) * length_km * 1e3)
         expected = np.fft.ifft(np.fft.fft(pulse.samples) * op)
         np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
 
 
 class TestNonlinearPropagation:
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    @example(seed=513)  # the first trial's Kerr phase, 3.24 rad, cuts its split step short
-    def test_energy_conserved_lossless(self, seed):
+    @staticmethod
+    def assert_energy_conserved(seed, scale, length_km):
+        """Propagate noise of amplitude ``scale`` over a lossless fiber at adaptive
+        steps and check its energy; returns the trials, parsed from the FFTs."""
         rng = np.random.default_rng(seed)
-        scale = 0.03
         samples = scale * (rng.normal(size=GRID64.n_samples) + 1j * rng.normal(size=GRID64.n_samples))
         field = fl.OpticalField(samples, GRID64)
-        fiber = fl.FiberParams(120.0, 16.0, 0.0, 1.3)
+        fiber = fl.FiberParams(length_km, 16.0, 0.0, 1.3)
         # adaptive steps (criterion 5 checks fixed steps). Without loss, a trial's
         # u_f and u_c are unitary images of its start field, so |u_f| = |u_c| gives
         # Re<u_f, u_f - u_c> = |u_f - u_c|^2 / 2, and the extrapolation
         # u = u_f + (u_f - u_c) / 3 has |u|^2 = |u_f|^2 (1 + 4 delta^2 / 9). An
         # accepted trial has delta <= 2 tol, so T trials raise the energy by at
-        # most (1 + 16 tol^2 / 9)^T - 1: ~9e-6 for the ~520 trials here, against
-        # ~1.8e-6 seen and ~1e-13 of round-off. The energies are ~1e-11 J, so
-        # abs=0 keeps pytest.approx's default abs=1e-12 from hiding the bound.
+        # most (1 + 16 tol^2 / 9)^T - 1: ~1.1e-5 for the ~600 trials of 120 km at
+        # scale 0.03, against ~9e-7 seen and ~1e-13 of round-off. The energies
+        # are ~1e-11 J, so abs=0 keeps pytest.approx's default abs=1e-12 from
+        # hiding the bound.
         tol = fl.SsfmOptions().local_error
         with pytest.MonkeyPatch.context() as mp:
             ffts = count_ffts(mp)
@@ -294,6 +300,18 @@ class TestNonlinearPropagation:
         energy_in = np.sum(np.abs(field.samples) ** 2) * GRID64.dt
         energy_out = np.sum(np.abs(out.samples) ** 2) * GRID64.dt
         assert energy_out == pytest.approx(energy_in, rel=bound, abs=0)
+        return trials
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_energy_conserved_lossless(self, seed):
+        self.assert_energy_conserved(seed, 0.03, 120.0)
+
+    def test_energy_conserved_through_phase_rejected_trials(self):
+        # at 1.7 W of peak power the first 5 km trial's coarse Kerr phase is 11 rad,
+        # over MAX_STEP_PHASE, so its split step is cut short
+        trials = self.assert_energy_conserved(513, 0.3, 10.0)
+        assert any(trial != "ifft fft " * 3 for trial in trials)
 
     @pytest.mark.parametrize("step_km", [0.1, None], ids=["fixed", "adaptive"])
     def test_spm_only_pure_phase(self, step_km):
@@ -382,6 +400,16 @@ class TestNonlinearPropagation:
         ffts = count_ffts(monkeypatch)
         fl.propagate_fiber(cw_field(), CW_SPAN, options)
         assert ffts == held_as_spectrum(split_steps)
+
+    def test_default_run_trial_count(self, monkeypatch):
+        # The default link at seed 42 has 4 fibers (24, 120, 120 and 24 km) at
+        # adaptive steps. Each makes one forward FFT in and one inverse out, and
+        # each of its trials 3 of each when no split step is cut short by
+        # MAX_STEP_PHASE.
+        # Unlike the run time, the trial count does not drift with the host.
+        ffts = count_ffts(monkeypatch)
+        fl.run_link_full(fl.LinkConfig())
+        assert ffts.count("fft") == ffts.count("ifft") == 4 + 3 * 52
 
     def test_span_resumes_from_kept_end(self):
         # 2 km and 4 km of one fiber at 1 km steps share their first 2 steps
