@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Q factor vs DCF length for the symmetric dispersion map.
+"""Q factor vs DCF length at the four acceptance rows.
 
-Runs the default 2x120 km SMF link with symmetric pre/post compensation at
-four (pre, post) DCF-length pairs and prints one table row per pair. The
-fully compensated map (24, 24) should come out far ahead of every
-under-compensated variant.
+Runs the default 2x120 km SMF link with pre/post compensation at the four
+(pre, post) DCF-length pairs of the acceptance table and prints one table
+row per pair. The fully compensated map (24, 24) should come out far ahead
+of every under-compensated variant.
 
 Usage:
     python3 scripts/compensation_sweep.py [--quick] [--seed N]

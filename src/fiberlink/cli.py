@@ -113,32 +113,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-channel 10 Gb/s NRZ fiber link simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_p = argparse.ArgumentParser(add_help=False)
+    config_p.add_argument("--config", help="config file (flat key=value); defaults if omitted")
+    output_p = argparse.ArgumentParser(add_help=False, parents=[config_p])
+    output_p.add_argument("--out", default=".", help="output directory (default: .)")
+    output_p.add_argument("--seed", type=int, help="override sim.seed")
 
-    run_p = sub.add_parser("run", help="simulate one link and write result.csv + eye.txt")
-    run_p.add_argument("--config", help="config file (flat key=value); defaults if omitted")
-    run_p.add_argument("--out", default=".", help="output directory (default: .)")
-    run_p.add_argument("--seed", type=int, help="override sim.seed")
-    run_p.set_defaults(func=cmd_run)
+    sub.add_parser(
+        "run", parents=[output_p], help="simulate one link and write result.csv + eye.txt"
+    ).set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="sweep DCF lengths and write sweep.csv")
-    sweep_p.add_argument("--config", help="config file (flat key=value); defaults if omitted")
+    sweep_p = sub.add_parser(
+        "sweep", parents=[output_p], help="sweep DCF lengths and write sweep.csv"
+    )
     sweep_p.add_argument("--pre", required=True, help="comma-separated pre-DCF lengths, km")
     sweep_p.add_argument("--post", required=True, help="comma-separated post-DCF lengths, km")
     sweep_p.add_argument(
         "--pairing", choices=("zip", "cross"), default="zip",
         help="pair the two lists in lockstep (zip) or as a product (cross)",
     )
-    sweep_p.add_argument("--out", default=".", help="output directory (default: .)")
-    sweep_p.add_argument("--seed", type=int, help="override sim.seed")
     sweep_p.add_argument(
         "--per-row-seeds", action="store_true",
         help="derive a distinct child seed per row instead of reusing one seed",
     )
     sweep_p.set_defaults(func=cmd_sweep)
 
-    profile_p = sub.add_parser("profile", help="print the accumulated dispersion map")
-    profile_p.add_argument("--config", help="config file (flat key=value); defaults if omitted")
-    profile_p.set_defaults(func=cmd_profile)
+    sub.add_parser(
+        "profile", parents=[config_p], help="print the accumulated dispersion map"
+    ).set_defaults(func=cmd_profile)
 
     return parser
 

@@ -30,7 +30,7 @@ from .fiber import (
 )
 from .metrics import MIN_RAIL_BITS, QResult, estimate_q
 from .receiver import RxConfig, receive
-from .signals import ElectricalWaveform, OpticalField, SamplingGrid
+from .signals import ElectricalWaveform, OpticalField, SamplingGrid, as_integer
 from .transmitter import DEFAULT_LFSR_SEED, BitSequence, TxConfig, prbs_generate, transmit
 
 __all__ = [
@@ -96,6 +96,7 @@ class SimSettings:
     ssfm: SsfmOptions = field(default_factory=SsfmOptions)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", as_integer("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

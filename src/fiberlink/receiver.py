@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ElectricalWaveform, OpticalField
+from .signals import ElectricalWaveform, OpticalField, as_integer
 
 __all__ = ["RxConfig", "photodetect", "bessel_lowpass", "receive"]
 
@@ -22,7 +22,7 @@ MAX_BESSEL_ORDER = 10  # highest Bessel filter order accepted
 
 
 def _check_bessel_order(name: str, order: int) -> None:
-    if not (1 <= order <= MAX_BESSEL_ORDER):
+    if not (1 <= as_integer(name, order) <= MAX_BESSEL_ORDER):
         raise ValueError(f"{name} must be in 1..{MAX_BESSEL_ORDER}, got {order}")
 
 

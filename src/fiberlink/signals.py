@@ -31,6 +31,13 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 1e-3 * 10.0 ** (p_dbm / 10.0)
 
 
+def as_integer(name: str, value: int) -> int:
+    """``value`` as an int; a bool, a float or any other non-integer raises TypeError."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def finite_db(value: float) -> bool:
     """True when the dB value and its linear ratio ``10**(value/10)`` are finite floats."""
     try:
@@ -55,10 +62,7 @@ class SamplingGrid:
 
     def __post_init__(self) -> None:
         for name in ("n_bits", "samples_per_bit"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         for name in ("bit_rate", "center_wavelength"):
             value = getattr(self, name)
             if not (value > 0.0 and np.isfinite(value)):

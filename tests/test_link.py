@@ -132,6 +132,12 @@ class TestLinkConfig:
         )
         assert cfg.elements()[1].target_dbm == -2.0
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_rejects_non_integer_seed(self, seed):
+        # SeedSequence would raise TypeError at run time instead
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            fl.LinkConfig(sim=fl.SimSettings(seed=seed))
+
     def test_rejects_dcf_length(self):
         dcf = dataclasses.replace(fl.LinkConfig().dcf, length_km=30.0)
         with pytest.raises(ValueError, match="are pre_length_km and post_length_km"):

@@ -15,7 +15,7 @@ from conftest import ROOT, subprocess_env
 from fiberlink import config, fiber, link, metrics, receiver, signals, transmitter
 
 # Minor page faults per FFT pair of a warm propagate_fiber call at 32,768 samples.
-# The field is noise, so adaptive steps take ~50 trials, not the two a CW takes.
+# The field is noise, so adaptive steps take ~45 trials, not the two a CW takes.
 FAULTS_PER_FFT_PAIR = """
 import resource
 import numpy as np

@@ -138,6 +138,12 @@ class TestBesselLowpass:
 
 
 class TestReceive:
+    @pytest.mark.parametrize("order", [4.0, True])
+    def test_rejects_non_integer_bessel_order(self, order):
+        # math.factorial would raise TypeError at run time instead
+        with pytest.raises(TypeError, match="bessel_order must be an integer"):
+            fl.LinkConfig(rx=fl.RxConfig(bessel_order=order))
+
     def test_composition_matches_stages(self):
         _, field = fl.transmit(fl.TxConfig(), GRID, np.random.default_rng(0))
         cfg = fl.RxConfig()
