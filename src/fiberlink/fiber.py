@@ -12,6 +12,7 @@ dB/km, 1/(W km) — and are converted to SI internally.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -37,16 +38,22 @@ PLANCK = 6.62607015e-34  # J s
 # Most split steps one span may take: 20x the 4,800 of the finest reference
 # (0.025 km steps over 120 km), so a too-fine step fails instead of hanging.
 MAX_STEPS_PER_SPAN = 100_000
-# Largest Kerr phase gamma*|A|^2*dz one split step may apply, in rad. The
-# documented runs stay below 0.04 rad; a step over pi does not resolve the SPM.
+# Largest Kerr phase gamma*|A|^2*dz one split step may apply, in rad; over pi a
+# step does not resolve the SPM. Runs peak at 0.0106 rad (default), 0.0021
+# (sweep_cross, seed 7), 0.0377 (8 dBm pairs, 2 km steps), 0.000337 (0.1 km).
 MAX_STEP_PHASE = math.pi
+# Taylor coefficients of cos(phi) and sin(phi) / phi in t = phi^2, and the peak
+# phases under which the first term left out by 2, 3, ..., 15 terms is < 2^-54.
+_TAYLOR_COS = tuple((-1) ** j / math.factorial(2 * j) for j in range(15))
+_TAYLOR_SIN = tuple((-1) ** j / math.factorial(2 * j + 1) for j in range(15))
+_TAYLOR_PHASE = tuple((math.factorial(2 * k) * 2.0**-54) ** (0.5 / k) for k in range(2, 16))
 # Length of an adaptive fiber's first trial, in m, whatever the fiber's length:
 # on the default run 2 and 5 km starts take 47 trials, 10 km 51 and 20 km 55.
 FIRST_TRIAL_M = 5e3
 # Relative local errors an adaptive step may be held to. On the default run,
 # 1e-8 takes ~800 trials per span, under 1% of the cap and ~70x the 1e-4
-# default. Q at 1e-3 is 0.0093 dB below the fixed 0.1 km oracle's, at 3e-3
-# 0.0096 dB and at 1e-2 0.023 dB, past the 0.01 dB the oracle tests allow.
+# default. Over seeds 0-31 the worst |Q - Q(0.1 km fixed)| is 2.0e-3 dB at 1e-4,
+# 3.3e-3 at 2e-4, and past the oracle tests' 0.01 dB from 3e-4 (2.1e-2 at 1e-3).
 LOCAL_ERROR_RANGE = (1e-8, 1e-3)
 
 
@@ -194,12 +201,13 @@ def propagate_fiber(
 
     A symmetric step of size dz is a half linear step (dispersion + loss, in
     the frequency domain), a Kerr phase rotation over dz, and another half
-    linear step. The field is held as its spectrum between steps, so a step is
-    one FFT pair, and the trailing and leading half steps of consecutive steps
-    merge into one operator. Fixed mode takes equal steps. Adaptive mode
-    advances by trials of 2h from a start spectrum: one coarse step of 2h and
-    two fine steps of h, each closed by its half linear step, give U_c and U_f.
-    The trial is accepted when the relative local error
+    linear step. The rotation is a Taylor series sized from the step's peak
+    phase, exact to round-off. The field is held as its spectrum between steps,
+    so a step is one FFT pair, and the trailing and leading half steps of
+    consecutive steps merge into one operator. Fixed mode takes equal steps.
+    Adaptive mode advances by trials of 2h from a start spectrum: one coarse
+    step of 2h and two fine steps of h, each closed by its half linear step,
+    give U_c and U_f. The trial is accepted when the relative local error
     ``delta = |U_f - U_c| / |U_f|`` (that of the fields, by Parseval) is at
     most ``2 * local_error``, as ``(4 U_f - U_c) / 3``; otherwise h is halved
     and the trial retried. The local error scales as h^3, so an accepted trial
@@ -258,7 +266,7 @@ def propagate_span(
     # or less, are reused from the heap instead. The block is never touched.
     np.empty(min(8 * field.samples.nbytes, 16 << 20), np.uint8)
     spec = np.fft.fft(field.samples) if start is None else start[0].copy()
-    power = np.empty(spec.shape)
+    power, square = np.empty(spec.shape), np.empty(spec.shape)
     rotation = np.empty_like(spec)
     half = np.empty_like(spec)
     full = np.empty_like(spec)
@@ -273,15 +281,14 @@ def propagate_span(
         nonlocal phase
         np.multiply(src, op, out=dst)
         np.fft.ifft(dst, out=dst)
-        np.abs(dst, out=power)
-        np.square(power, out=power)
+        squares = np.square(dst.view(np.float64), out=rotation.view(np.float64))
+        np.add(squares[0::2], squares[1::2], out=power)  # |A|^2 = re^2 + im^2
         np.multiply(gamma_si * dz, power, out=power)
         # The phase >= 0 is non-finite exactly where the rotated field would be.
         phase = np.max(power)
         if not phase <= MAX_STEP_PHASE:  # NaN included
             return False
-        np.cos(power, out=rotation.real)
-        np.sin(power, out=rotation.imag)
+        _kerr_rotation(power, phase, square, rotation)
         dst *= rotation
         np.fft.fft(dst, out=dst)
         return True
@@ -355,6 +362,24 @@ def propagate_span(
         remaining -= 2.0 * h
         h *= (tol / max(delta, tol / 8.0)) ** (1.0 / 3.0)
     return OpticalField(np.fft.ifft(spec, out=spec), grid), None
+
+
+def _kerr_rotation(phi: np.ndarray, peak: float, scratch: np.ndarray, rotation: np.ndarray) -> None:
+    """``rotation`` = e^{j phi} for 0 <= phi <= peak. t = phi^2 goes in rotation's first
+    half, then sin(phi) in ``scratch`` and cos(phi) in ``phi``, so rotation is written last."""
+    terms = bisect.bisect_right(_TAYLOR_PHASE, peak) + 2
+    t = np.square(phi, out=rotation.view(np.float64)[: phi.size])
+    np.multiply(_horner(_TAYLOR_SIN[:terms], t, scratch), phi, out=scratch)
+    rotation.real, rotation.imag = _horner(_TAYLOR_COS[:terms], t, phi), scratch
+
+
+def _horner(coeffs: tuple[float, ...], t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = the sum of ``coeffs[j] * t**j`` over 2 or more terms, by Horner's rule."""
+    np.multiply(t, coeffs[-1], out=out)
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= t
+    return np.add(out, coeffs[0], out=out)
 
 
 def _mark_level_estimate(power: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -44,7 +45,15 @@ def allocating_ssfm(field, fiber, options):
         return np.fft.ifft(np.fft.fft(e) * op)
 
     def kerr(e, dz):
-        return e * np.exp(1j * gamma_si * dz * np.abs(e) ** 2)
+        # e^{j phi} as Taylor polynomials in phi^2, with the fewest terms (at
+        # least 2) whose first left out is under 2^-54 at the largest phase
+        phi = gamma_si * dz * (e.real**2 + e.imag**2)
+        terms = 2
+        while phi.max() ** (2 * terms) / math.factorial(2 * terms) >= 2.0**-54:
+            terms += 1
+        cos = np.polyval(fl.fiber._TAYLOR_COS[terms - 1 :: -1], phi**2)
+        sin = phi * np.polyval(fl.fiber._TAYLOR_SIN[terms - 1 :: -1], phi**2)
+        return e * (cos + 1j * sin)
 
     e = field.samples
     if options.step_km is not None:
@@ -82,18 +91,38 @@ def cw_field(p0=0.05):
     return fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(p0), dtype=complex), GRID64)
 
 
+def count_calls(monkeypatch, namespace, names):
+    """Record the calls made from here on to the functions ``names`` of ``namespace``, by name."""
+    calls = []
+    for name in names:
+        function = getattr(namespace, name)
+
+        def counting(*args, _name=name, _function=function, **kwargs):
+            calls.append(_name)
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(namespace, name, counting)
+    return calls
+
+
 def count_ffts(monkeypatch):
     """Record the FFTs made from here on by name, ``"fft"`` or ``"ifft"``."""
-    calls = []
-    for name in ("fft", "ifft"):
-        transform = getattr(np.fft, name)
+    return count_calls(monkeypatch, np.fft, ("fft", "ifft"))
 
-        def counting(*args, _name=name, _transform=transform, **kwargs):
-            calls.append(_name)
-            return _transform(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counting)
-    return calls
+def kerr_rotation(phi):
+    """The split step's rotation e^{j phi} of the phases ``phi``, and the
+    number of Taylor terms in each of its two series."""
+    rotation, terms, horner = np.empty(phi.size, complex), [], fl.fiber._horner
+
+    def counting(coeffs, *args):
+        terms.append(len(coeffs))
+        return horner(coeffs, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fl.fiber, "_horner", counting)
+        fl.fiber._kerr_rotation(phi.copy(), float(phi.max()), np.empty(phi.size), rotation)
+    return rotation, terms
 
 
 def held_as_spectrum(steps):
@@ -326,6 +355,46 @@ class TestNonlinearPropagation:
         phases = np.angle(out.samples * np.conj(field.samples))
         np.testing.assert_allclose(phases, expected_phase, atol=1e-4)
         np.testing.assert_allclose(np.abs(out.samples), np.sqrt(p0), rtol=1e-12)
+
+    def test_kerr_rotation_to_round_off(self):
+        # Each phase of a dense grid up to MAX_STEP_PHASE as its own peak, so
+        # that each term count meets the largest phase it serves, then the
+        # phases where the count changes, one ulp below, at and one ulp above.
+        limits = fl.fiber._TAYLOR_PHASE
+        assert len(fl.fiber._TAYLOR_COS) == len(fl.fiber._TAYLOR_SIN) == len(limits) + 1
+        assert limits[-1] > fl.fiber.MAX_STEP_PHASE
+        peaks = np.concatenate([
+            np.linspace(0.0, fl.fiber.MAX_STEP_PHASE, 4001),
+            [p for lim in limits for p in (np.nextafter(lim, 0.0), lim, np.nextafter(lim, 4.0))],
+        ])
+        for peak in peaks[peaks <= fl.fiber.MAX_STEP_PHASE]:
+            rotation, terms = kerr_rotation(np.array([peak]))
+            # the fewest terms, at least 2, whose first left out is under 2^-54,
+            # to the rounding of the limits
+            k = terms[0]
+            assert terms == [k, k]
+            first_left_out = [peak ** (2 * i) / math.factorial(2 * i) for i in (k - 1, k)]
+            assert first_left_out[1] < 2.0**-54 * (1 + 1e-12)
+            assert k == 2 or first_left_out[0] >= 2.0**-54 * (1 - 1e-12)
+            assert abs(rotation[0] - np.exp(1j * peak)) <= (2.3e-16 if peak <= 1.0 else 2e-15)
+
+    @pytest.mark.parametrize("peak", [*fl.fiber._TAYLOR_PHASE[:-1], fl.fiber.MAX_STEP_PHASE])
+    def test_kerr_rotation_of_many_phases(self, peak):
+        # the phases below the peak take the peak's terms
+        phi = np.linspace(0.0, np.nextafter(peak, 0.0), 4097)
+        rotation, _ = kerr_rotation(phi)
+        error = np.abs(rotation - np.exp(1j * phi))
+        assert error.max() <= (2.3e-16 if peak <= 1.0 else 2e-15)
+        assert np.abs(np.abs(rotation) - 1.0).max() <= 9e-16
+
+    @pytest.mark.parametrize("step_km", [0.5, None], ids=["fixed", "adaptive"])
+    def test_split_steps_call_no_cos_or_sin(self, monkeypatch, step_km):
+        pulse = gaussian(GRID64, peak_w=0.1)
+        calls = count_calls(monkeypatch, np, ("cos", "sin"))
+        ffts = count_ffts(monkeypatch)
+        fiber = fl.FiberParams(10.0, 16.0, 0.2, 1.3)
+        fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(step_km=step_km))
+        assert ffts.count("fft") > 2 and calls == []
 
     def test_fundamental_soliton_invariance(self):
         t0 = 25e-12
