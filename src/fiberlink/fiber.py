@@ -39,7 +39,7 @@ PLANCK = 6.62607015e-34  # J s
 # (0.025 km steps over 120 km), so a too-fine step fails instead of hanging.
 MAX_STEPS_PER_SPAN = 100_000
 # Largest Kerr phase gamma*|A|^2*dz one split step may apply, in rad; over pi a
-# step does not resolve the SPM. Runs peak at 0.0106 rad (default), 0.0021
+# step does not resolve the SPM. Runs peak at 0.0105 rad (default), 0.0021
 # (sweep_cross, seed 7), 0.0377 (8 dBm pairs, 2 km steps), 0.000337 (0.1 km).
 MAX_STEP_PHASE = math.pi
 # Taylor coefficients of cos(phi) and sin(phi) / phi in t = phi^2, and the peak
@@ -48,13 +48,22 @@ _TAYLOR_COS = tuple((-1) ** j / math.factorial(2 * j) for j in range(15))
 _TAYLOR_SIN = tuple((-1) ** j / math.factorial(2 * j + 1) for j in range(15))
 _TAYLOR_PHASE = tuple((math.factorial(2 * k) * 2.0**-54) ** (0.5 / k) for k in range(2, 16))
 # Length of an adaptive fiber's first trial, in m, whatever the fiber's length:
-# on the default run 2 and 5 km starts take 47 trials, 10 km 51 and 20 km 55.
+# on the default run a 2 km start takes 45 trials, 5 km 46, 10 km 50, 20 km 54.
 FIRST_TRIAL_M = 5e3
 # Relative local errors an adaptive step may be held to. On the default run,
-# 1e-8 takes ~800 trials per span, under 1% of the cap and ~70x the 1e-4
-# default. Over seeds 0-31 the worst |Q - Q(0.1 km fixed)| is 2.0e-3 dB at 1e-4,
-# 3.3e-3 at 2e-4, and past the oracle tests' 0.01 dB from 3e-4 (2.1e-2 at 1e-3).
+# 1e-8 takes ~390 trials per span, under 1% of the cap and ~34x the 1e-4
+# default. Over seeds 0-31 the worst |Q - Q(0.1 km fixed)| is 2.12e-3 dB at 1e-4
+# (mean 7.6e-4), 3.3e-3 at 2e-4, and past the oracle tests' 0.01 dB from 3e-4
+# (2.3e-2 at 1e-3).
 LOCAL_ERROR_RANGE = (1e-8, 1e-3)
+# Largest growth of an adaptive band's share of energy at |f| >= 4x the bit rate
+# past its value at the fiber's first accepted trial; beyond it the fiber restarts
+# over all samples. Per fiber the share grew by at most 3.3e-7 on the default
+# run, 6.3e-6 at 8 dBm, 2.2e-5 at 12 dBm and 1.0e-5 with ASE on at 8 dBm, and by
+# 2.3e-2 on the tests' N = 2 Gaussian, whose banded error is 13.7% (5.7e-8 and
+# 3e-6 at 1/4 power): a margin of 20x or more on each side. In between the
+# growth tracks the banded error (at 0.6x that power, 3.6e-4 and 4.6e-4).
+MAX_EDGE_GROWTH = 1e-3
 
 
 class PropagationError(RuntimeError):
@@ -215,8 +224,14 @@ def propagate_fiber(
     ``delta <= local_error / 8``). The first trial is ``FIRST_TRIAL_M`` long,
     or the whole fiber if that is shorter. A step whose Kerr phase is over
     ``MAX_STEP_PHASE`` fails a fixed-step span and rejects an adaptive trial.
-    The total distance integrated is ``fiber.length_km``. The input field is
-    left untouched.
+    Above 16 samples per bit, adaptive trials run over the bins |f| < 8x the
+    bit rate only, as a spectrum of ``n_bits * 16`` bins with the same |A|^2;
+    the bins outside take the exact linear operator of the whole fiber in one
+    multiply, and the two are spliced before the closing inverse FFT. A field
+    that spreads past the band's middle, by more than ``MAX_EDGE_GROWTH`` of
+    its energy at |f| >= 4x the bit rate since the first accepted trial,
+    restarts the fiber from its input over all samples. The total distance
+    integrated is ``fiber.length_km``. The input field is left untouched.
 
     This is :func:`propagate_span` from step 0.
     """
@@ -252,9 +267,9 @@ def propagate_span(
     alpha_si = loss_db_to_alpha(fiber.loss_db_km) * 1e-3  # 1/m
     gamma_si = fiber.gamma_per_w_km * 1e-3  # 1/(W m)
     # Per-meter exponent of the linear operator over bins 0..n/2. fftfreq makes
-    # omega[n - k] exactly -omega[k], so set_ops mirrors it into bins n/2+1..n-1.
-    n, m = grid.n_samples, grid.n_samples // 2 + 1
-    lin_rate = 0.5j * beta2_si * grid.omega()[:m] ** 2 - 0.5 * alpha_si
+    # omega[n - k] exactly -omega[k], so set_ops mirrors it into bins band/2+1..band-1.
+    n, band = grid.n_samples, grid.n_samples
+    lin_rate = 0.5j * beta2_si * grid.omega()[: n // 2 + 1] ** 2 - 0.5 * alpha_si
     if options.step_km is not None:
         n_steps = options.fixed_steps(fiber)
 
@@ -266,10 +281,6 @@ def propagate_span(
     # or less, are reused from the heap instead. The block is never touched.
     np.empty(min(8 * field.samples.nbytes, 16 << 20), np.uint8)
     spec = np.fft.fft(field.samples) if start is None else start[0].copy()
-    power, square = np.empty(spec.shape), np.empty(spec.shape)
-    rotation = np.empty_like(spec)
-    half = np.empty_like(spec)
-    full = np.empty_like(spec)
     phase = 0.0  # the largest Kerr phase of the last split step
 
     def split_step(src: np.ndarray, dst: np.ndarray, op: np.ndarray, dz: float) -> bool:
@@ -281,9 +292,7 @@ def propagate_span(
         nonlocal phase
         np.multiply(src, op, out=dst)
         np.fft.ifft(dst, out=dst)
-        squares = np.square(dst.view(np.float64), out=rotation.view(np.float64))
-        np.add(squares[0::2], squares[1::2], out=power)  # |A|^2 = re^2 + im^2
-        np.multiply(gamma_si * dz, power, out=power)
+        np.multiply(gamma_si * dz, abs2(dst), out=power)
         # The phase >= 0 is non-finite exactly where the rotated field would be.
         phase = np.max(power)
         if not phase <= MAX_STEP_PHASE:  # NaN included
@@ -293,21 +302,27 @@ def propagate_span(
         np.fft.fft(dst, out=dst)
         return True
 
+    def abs2(u: np.ndarray) -> np.ndarray:
+        """``power`` = |u|^2 as re^2 + im^2, squared from u's float view into ``rotation``."""
+        squares = np.square(u.view(np.float64), out=rotation.view(np.float64))
+        return np.add(squares[0::2], squares[1::2], out=power)
+
     def norm2(u: np.ndarray) -> float:
-        """The sum of |u|^2, by numpy's own sum: a BLAS dot product of this size
-        starts threads, which spin on the other cores between calls."""
-        np.abs(u, out=power)
-        np.square(power, out=power)
-        return float(power.sum())
+        """The sum of |u|^2, left in ``power``, by numpy's own sum: a BLAS dot product
+        of this size starts threads, which spin on the other cores between calls."""
+        return float(abs2(u).sum())
 
     def set_ops(dz: float) -> None:
-        """``half`` = the linear operator over dz / 2, ``full`` = over dz."""
-        np.multiply(lin_rate, dz / 2.0, out=half[:m])
+        """``half`` = the linear operator over dz / 2, ``full`` = over dz, on ``band`` bins."""
+        m = band // 2 + 1
+        np.multiply(lin_rate[:m], dz / 2.0, out=half[:m])
         np.exp(half[:m], out=half[:m])
-        half[m:] = half[1 : n - m + 1][::-1]
+        half[m:] = half[1 : band - m + 1][::-1]
         np.multiply(half, half, out=full)
 
     if options.step_km is not None:
+        power, square = np.empty(n), np.empty(n)
+        rotation, half, full = (np.empty_like(spec) for _ in range(3))
         dz = options.fixed_step_m(fiber)
         set_ops(dz)
         for k in range(start[1] if start else 0, n_steps):
@@ -325,42 +340,63 @@ def propagate_span(
         return OpticalField(np.fft.ifft(spec, out=spec), grid), end
 
     tol = options.local_error
-    coarse = np.empty_like(spec)
-    fine = np.empty_like(spec)
-    remaining, h, trials = length_m, FIRST_TRIAL_M / 2.0, 0
-    while remaining > 0.0:
-        h = min(h, remaining / 2.0)
-        if remaining - 2.0 * h == remaining or trials == MAX_STEPS_PER_SPAN:
-            why = f"no step meets local_error = {tol:g}"
-            if not phase <= MAX_STEP_PHASE:
-                why = f"the last trial's Kerr phase {phase:.3g} rad is over {MAX_STEP_PHASE:.3g}"
-            raise PropagationError(
-                f"adaptive steps stall at z = {(length_m - remaining) / 1e3:.3f} km in "
-                f"{fiber.label}: step {2.0 * h:.3g} m after {trials} trials of at most "
-                f"{MAX_STEPS_PER_SPAN}; {why}"
-            )
-        trials += 1
-        set_ops(h)
-        delta = math.nan
-        if (
-            split_step(spec, coarse, full, 2.0 * h)
-            and split_step(spec, fine, half, h)
-            and split_step(fine, fine, full, h)
-        ):
-            coarse *= full
-            fine *= half
-            np.subtract(fine, coarse, out=coarse)
-            err, ref = norm2(coarse), norm2(fine)
-            delta = math.sqrt(err / ref if ref > 0.0 else err)
-        # Written so that a NaN estimate rejects the trial.
-        if not delta <= 2.0 * tol:
-            h /= 2.0
-            continue
-        coarse /= 3.0
-        fine += coarse
-        spec, fine = fine, spec
-        remaining -= 2.0 * h
-        h *= (tol / max(delta, tol / 8.0)) ** (1.0 / 3.0)
+    whole = spec  # the input spectrum, left as it is until the splice
+    # The band's bins / (n / band) hold |A|^2 at every (n / band)-th sample.
+    for band in (grid.n_bits * 16, n) if grid.samples_per_bit > 16 else (n,):
+        if band < n:
+            spec = np.concatenate((whole[: band // 2], whole[n - band // 2 :]))
+            spec /= n // band
+        power, square = np.empty(band), np.empty(band)
+        rotation, half, full, coarse, fine = (np.empty_like(spec) for _ in range(5))
+        remaining, h, trials, edge = length_m, FIRST_TRIAL_M / 2.0, 0, None
+        while remaining > 0.0:
+            h = min(h, remaining / 2.0)
+            if remaining - 2.0 * h == remaining or trials == MAX_STEPS_PER_SPAN:
+                why = f"no step meets local_error = {tol:g}"
+                if not phase <= MAX_STEP_PHASE:
+                    why = f"the last trial's Kerr phase {phase:.3g} rad is over {MAX_STEP_PHASE:.3g}"
+                raise PropagationError(
+                    f"adaptive steps stall at z = {(length_m - remaining) / 1e3:.3f} km in "
+                    f"{fiber.label}: step {2.0 * h:.3g} m after {trials} trials of at most "
+                    f"{MAX_STEPS_PER_SPAN}; {why}"
+                )
+            trials += 1
+            set_ops(h)
+            delta = math.nan
+            if (
+                split_step(spec, coarse, full, 2.0 * h)
+                and split_step(spec, fine, half, h)
+                and split_step(fine, fine, full, h)
+            ):
+                coarse *= full
+                fine *= half
+                np.subtract(fine, coarse, out=coarse)
+                err, ref = norm2(coarse), norm2(fine)
+                delta = math.sqrt(err / ref if ref > 0.0 else err)
+            # Written so that a NaN estimate rejects the trial.
+            if not delta <= 2.0 * tol:
+                h /= 2.0
+                continue
+            if band < n:  # norm2(fine) left its |U_f|^2 in power
+                share = float(power[band // 4 : band - band // 4].sum()) / (ref or 1.0)
+                edge = share if edge is None else edge
+                if share - edge > MAX_EDGE_GROWTH:
+                    break
+            coarse /= 3.0
+            fine += coarse
+            spec, fine = fine, spec
+            remaining -= 2.0 * h
+            h *= (tol / max(delta, tol / 8.0)) ** (1.0 / 3.0)
+        if remaining <= 0.0:
+            break
+        spec = whole
+    if band < n:
+        outer = np.exp(lin_rate[band // 2 :] * length_m)
+        whole[band // 2 : n // 2 + 1] *= outer
+        whole[n // 2 + 1 : n - band // 2] *= outer[-2:0:-1]
+        spec *= n // band
+        whole[: band // 2], whole[n - band // 2 :] = spec[: band // 2], spec[band // 2 :]
+        spec = whole
     return OpticalField(np.fft.ifft(spec, out=spec), grid), None
 
 

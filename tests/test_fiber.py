@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import re
 
@@ -17,6 +19,8 @@ BETA2_DM80 = 102.0358559595995  # ps^2/km
 ALPHA_02 = 0.046051701859880924  # 1/km for 0.2 dB/km
 
 GRID64 = fl.SamplingGrid(10e9, 64, 32, 1550e-9)
+# An adaptive fiber on GRID64 runs its split steps over 64 * 16 samples (|f| < 80 GHz)
+BAND64 = 1024
 
 
 def gaussian(grid, t0=25e-12, peak_w=1.0):
@@ -32,9 +36,13 @@ def rms_width(field):
     return float(np.sqrt(((t - mu) ** 2 * w).sum()))
 
 
-def allocating_ssfm(field, fiber, options):
-    """The split-step loops written with a fresh array for every operation."""
+def allocating_ssfm(field, fiber, options, band=None):
+    """The split-step loops written with a fresh array for every operation. Adaptive
+    steps run over ``band`` bins (by default, as many as propagate_span uses)."""
     grid = field.grid
+    n = grid.n_samples
+    if band is None:
+        band = grid.n_bits * 16 if options.step_km is None and grid.samples_per_bit > 16 else n
     length_m = fiber.length_km * 1e3
     beta2_si = fl.d_to_beta2(fiber.dispersion_ps_nm_km, grid.center_wavelength) * 1e-27
     alpha_si = fl.loss_db_to_alpha(fiber.loss_db_km) * 1e-3
@@ -57,34 +65,52 @@ def allocating_ssfm(field, fiber, options):
 
     e = field.samples
     if options.step_km is not None:
-        n = max(1, int(np.ceil(fiber.length_km / options.step_km - 1e-12)))
-        dz = length_m / n
+        steps = max(1, int(np.ceil(fiber.length_km / options.step_km - 1e-12)))
+        dz = length_m / steps
         half = np.exp(lin_rate * (dz / 2.0))
-        for k in range(n):
+        for k in range(steps):
             e = kerr(linear(e, half * half if k else half), dz)
         return linear(e, half)
 
-    # adaptive mode holds the spectrum between trials
+    # adaptive mode holds the spectrum between trials, the bins |f| < band / 2
+    # as a band-bin spectrum at the same |A|^2, and the bins outside apart
     def spectral_step(s, op, dz):
         return np.fft.fft(kerr(np.fft.ifft(s * op), dz))
 
-    s = np.fft.fft(e)
+    def inner(x):
+        return np.concatenate((x[: band // 2], x[n - band // 2 :]))
+
+    def abs2(x):
+        return x.real**2 + x.imag**2
+
+    out = np.fft.fft(e)
+    s, rate, edge = inner(out) / (n // band), inner(lin_rate), None
     tol, remaining, h = options.local_error, length_m, fl.fiber.FIRST_TRIAL_M / 2.0
     while remaining > 0.0:
         h = min(h, remaining / 2.0)
-        half = np.exp(lin_rate * (h / 2.0))
+        half = np.exp(rate * (h / 2.0))
         full = half * half
         coarse = spectral_step(s, full, 2.0 * h) * full
         fine = spectral_step(spectral_step(s, half, h), full, h) * half
         diff = fine - coarse
-        delta = np.sqrt(np.sum(np.abs(diff) ** 2) / np.sum(np.abs(fine) ** 2))
+        delta = np.sqrt(np.sum(abs2(diff)) / np.sum(abs2(fine)))
         if not delta <= 2.0 * tol:
             h /= 2.0
             continue
+        if band < n:
+            # the share of energy at |f| >= band / 4 may not grow by more than
+            # MAX_EDGE_GROWTH, else the fiber is rerun over all n bins
+            share = np.sum(abs2(fine)[band // 4 : band - band // 4]) / np.sum(abs2(fine))
+            edge = share if edge is None else edge
+            if share - edge > fl.fiber.MAX_EDGE_GROWTH:
+                return allocating_ssfm(field, fiber, options, band=n)
         s = fine + diff / 3.0
         remaining -= 2.0 * h
         h *= (tol / max(delta, tol / 8.0)) ** (1.0 / 3.0)
-    return np.fft.ifft(s)
+    out *= np.exp(lin_rate * length_m)
+    s *= n // band
+    out[: band // 2], out[n - band // 2 :] = s[: band // 2], s[band // 2 :]
+    return np.fft.ifft(out)
 
 
 def cw_field(p0=0.05):
@@ -92,13 +118,14 @@ def cw_field(p0=0.05):
 
 
 def count_calls(monkeypatch, namespace, names):
-    """Record the calls made from here on to the functions ``names`` of ``namespace``, by name."""
+    """Record the calls made from here on to the functions ``names`` of ``namespace``,
+    as (name, size of the first argument)."""
     calls = []
     for name in names:
         function = getattr(namespace, name)
 
         def counting(*args, _name=name, _function=function, **kwargs):
-            calls.append(_name)
+            calls.append((_name, np.size(args[0])))
             return _function(*args, **kwargs)
 
         monkeypatch.setattr(namespace, name, counting)
@@ -106,7 +133,7 @@ def count_calls(monkeypatch, namespace, names):
 
 
 def count_ffts(monkeypatch):
-    """Record the FFTs made from here on by name, ``"fft"`` or ``"ifft"``."""
+    """Record the FFTs made from here on, as (``"fft"`` or ``"ifft"``, size)."""
     return count_calls(monkeypatch, np.fft, ("fft", "ifft"))
 
 
@@ -125,10 +152,39 @@ def kerr_rotation(phi):
     return rotation, terms
 
 
-def held_as_spectrum(steps):
+def held_as_spectrum(steps, n, band=None):
     """The FFTs of a propagation that holds the field as its spectrum: one
-    forward FFT in, one inverse + forward pair per split step, one inverse out."""
-    return ["fft"] + ["ifft", "fft"] * steps + ["ifft"]
+    forward FFT of ``n`` samples in, one inverse + forward pair per split step
+    over ``band`` samples (by default n), one inverse of n out."""
+    return [("fft", n)] + [("ifft", band or n), ("fft", band or n)] * steps + [("ifft", n)]
+
+
+def trial_parts(ffts):
+    """The sizes of the runs of split steps between an adaptive propagation's first
+    and last FFT, and the trials in each run, parsed from its FFTs.
+
+    Three split steps (an inverse + forward pair each) make a trial. A split
+    step over MAX_STEP_PHASE rejects its trial after its inverse FFT, so an
+    inverse FFT with no forward one after it ends that trial. The last trial
+    of each run is accepted, so it is whole.
+    """
+    parts = []
+    for size, calls in itertools.groupby(ffts[1:-1], key=lambda call: call[1]):
+        calls = "".join(f"{name} " for name, _ in calls)
+        trials = re.findall(r"(?:ifft fft ){0,2}ifft (?!fft)|(?:ifft fft ){3}", calls)
+        assert "".join(trials) == calls and trials[-1] == "ifft fft " * 3
+        parts.append((size, trials))
+    return parts
+
+
+def n2_gaussian(power_scale):
+    """The pulse and lossless 30 km fiber of test_adaptive_tracks_fixed, a Gaussian of
+    soliton order N = 2 at power_scale = 1, and the fixed 1/64 km steps' output."""
+    t0, gamma = 25e-12, 1.26677
+    p0 = 4 * abs(fl.d_to_beta2(16.0, 1550e-9) * 1e-27) / (gamma * 1e-3 * t0**2)
+    pulse = gaussian(GRID64, t0, power_scale * p0)
+    fiber = fl.FiberParams(30.0, 16.0, 0.0, gamma)
+    return pulse, fiber, fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(step_km=1.0 / 64.0))
 
 
 # CW on a lossless, dispersionless span: fixed mode takes ceil(10 / 0.3) = 34
@@ -282,7 +338,7 @@ class TestLinearPropagation:
         fiber = fl.FiberParams(length_km, 16.0, 0.25, 0.0)
         ffts = count_ffts(monkeypatch)
         out = fl.propagate_fiber(pulse, fiber)
-        assert ffts == held_as_spectrum(3 * trials)
+        assert ffts == held_as_spectrum(3 * trials, GRID64.n_samples, BAND64)
         omega = GRID64.omega()
         beta2 = fl.d_to_beta2(16.0, 1550e-9) * 1e-27
         alpha = fl.loss_db_to_alpha(0.25) * 1e-3
@@ -290,12 +346,26 @@ class TestLinearPropagation:
         expected = np.fft.ifft(np.fft.fft(pulse.samples) * op)
         np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
 
+    def test_adaptive_band_is_exact_without_kerr(self, monkeypatch):
+        # white noise puts half its energy outside the band; with gamma = 0 the
+        # bins outside take exp(lin_rate L) exactly and the band's trials
+        # multiply up to it, so banded and full-band runs agree to round-off
+        rng = np.random.default_rng(3)
+        n = GRID64.n_samples
+        field = fl.OpticalField(0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)), GRID64)
+        fiber = fl.FiberParams(80.0, 16.0, 0.25, 0.0)
+        ffts = count_ffts(monkeypatch)
+        out = fl.propagate_fiber(field, fiber).samples
+        assert ffts == held_as_spectrum(3 * 5, n, BAND64)
+        full_band = allocating_ssfm(field, fiber, fl.SsfmOptions(), band=n)
+        assert np.linalg.norm(out - full_band) <= 1e-12 * np.linalg.norm(full_band)
+
 
 class TestNonlinearPropagation:
     @staticmethod
     def assert_energy_conserved(seed, scale, length_km):
         """Propagate noise of amplitude ``scale`` over a lossless fiber at adaptive
-        steps and check its energy; returns the trials, parsed from the FFTs."""
+        steps and check its energy; returns the :func:`trial_parts` of its FFTs."""
         rng = np.random.default_rng(seed)
         samples = scale * (rng.normal(size=GRID64.n_samples) + 1j * rng.normal(size=GRID64.n_samples))
         field = fl.OpticalField(samples, GRID64)
@@ -305,28 +375,28 @@ class TestNonlinearPropagation:
         # Re<u_f, u_f - u_c> = |u_f - u_c|^2 / 2, and the extrapolation
         # u = u_f + (u_f - u_c) / 3 has |u|^2 = |u_f|^2 (1 + 4 delta^2 / 9). An
         # accepted trial has delta <= 2 tol, so T trials raise the energy by at
-        # most (1 + 16 tol^2 / 9)^T - 1: ~9e-6 for the ~500 trials of 120 km at
-        # scale 0.03, against ~2.2e-6 seen and ~1e-13 of round-off. The energies
-        # are ~1e-11 J, so abs=0 keeps pytest.approx's default abs=1e-12 from
-        # hiding the bound.
+        # most (1 + 16 tol^2 / 9)^T - 1: ~2.8e-6 for the ~160 trials of 120 km at
+        # scale 0.03, against ~3.5e-7 seen and ~1e-13 of round-off. The bins
+        # outside the band turn by a unit-modulus operator, and a restart's
+        # trials only count in T. The energies are ~1e-11 J, so abs=0 keeps
+        # pytest.approx's default abs=1e-12 from hiding the bound.
         tol = fl.SsfmOptions().local_error
         with pytest.MonkeyPatch.context() as mp:
             ffts = count_ffts(mp)
             out = fl.propagate_fiber(field, fiber)
-        # Held as its spectrum: one forward FFT in, one inverse out, and three
-        # split steps (an inverse + forward pair each) per trial. A split step
-        # over MAX_STEP_PHASE rejects its trial after its inverse FFT, so an
-        # inverse FFT with no forward one after it ends that trial. The last
-        # trial is accepted, so it is whole.
-        assert ffts[0] == "fft" and ffts[-1] == "ifft"
-        calls = "".join(f"{name} " for name in ffts[1:-1])
-        trials = re.findall(r"(?:ifft fft ){0,2}ifft (?!fft)|(?:ifft fft ){3}", calls)
-        assert "".join(trials) == calls and trials[-1] == "ifft fft " * 3
-        bound = (1.0 + 16.0 * tol**2 / 9.0) ** len(trials) - 1.0
+        # Held as its spectrum: one forward FFT in and one inverse out over all
+        # n samples, and the trials over the band, then over n if the fiber
+        # restarted.
+        n = GRID64.n_samples
+        assert ffts[0] == ("fft", n) and ffts[-1] == ("ifft", n)
+        parts = trial_parts(ffts)
+        assert [size for size, _ in parts] in ([BAND64], [BAND64, n])
+        trials = sum(len(part) for _, part in parts)
+        bound = (1.0 + 16.0 * tol**2 / 9.0) ** trials - 1.0
         energy_in = np.sum(np.abs(field.samples) ** 2) * GRID64.dt
         energy_out = np.sum(np.abs(out.samples) ** 2) * GRID64.dt
         assert energy_out == pytest.approx(energy_in, rel=bound, abs=0)
-        return trials
+        return parts
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -335,15 +405,20 @@ class TestNonlinearPropagation:
 
     @pytest.mark.parametrize("seed", [0, 1, 513])
     def test_lossless_trials_follow_error_estimate(self, seed):
-        # h follows delta, so these take 494-501 trials; h held on a 2^(1/3)
-        # lattice took 601-614, as where the lattice fell decided the count
-        assert len(self.assert_energy_conserved(seed, 0.03, 120.0)) <= 520
+        # h follows delta, so these took 494-501 trials on the full grid, and
+        # 156-162 over the band; h held on a 2^(1/3) lattice took 601-614 on the
+        # full grid, as where the lattice fell decided the count
+        [(_, trials)] = self.assert_energy_conserved(seed, 0.03, 120.0)
+        assert len(trials) <= 520
 
     def test_energy_conserved_through_phase_rejected_trials(self):
         # at 1.7 W of peak power the first 5 km trial's coarse Kerr phase is 11 rad,
-        # over MAX_STEP_PHASE, so its split step is cut short
-        trials = self.assert_energy_conserved(513, 0.3, 10.0)
-        assert any(trial != "ifft fft " * 3 for trial in trials)
+        # over MAX_STEP_PHASE, so its split step is cut short. The field also
+        # spreads past the band's middle (by 1.1e-3 after 22 trials), so the
+        # fiber restarts on all n samples.
+        parts = self.assert_energy_conserved(513, 0.3, 10.0)
+        assert [size for size, _ in parts] == [BAND64, GRID64.n_samples]
+        assert any(trial != "ifft fft " * 3 for _, trials in parts for trial in trials)
 
     @pytest.mark.parametrize("step_km", [0.1, None], ids=["fixed", "adaptive"])
     def test_spm_only_pure_phase(self, step_km):
@@ -394,7 +469,7 @@ class TestNonlinearPropagation:
         ffts = count_ffts(monkeypatch)
         fiber = fl.FiberParams(10.0, 16.0, 0.2, 1.3)
         fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(step_km=step_km))
-        assert ffts.count("fft") > 2 and calls == []
+        assert len(ffts) > 4 and calls == []
 
     def test_fundamental_soliton_invariance(self):
         t0 = 25e-12
@@ -451,6 +526,42 @@ class TestNonlinearPropagation:
             err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
             assert err < tol
 
+    def test_broadening_field_restarts_on_full_grid(self, monkeypatch):
+        # An N = 2 Gaussian compresses: run over the band alone its error
+        # against fixed 1/64 km steps is 13.7%, and its energy share at |f| >=
+        # 4x the bit rate grows by 2.3e-2. The guard sends it back to all n
+        # samples, where it takes the steps it took before the band.
+        pulse, fiber, _ = n2_gaussian(1.0)
+        ffts = count_ffts(monkeypatch)
+        out = fl.propagate_fiber(pulse, fiber)
+        assert [size for size, _ in trial_parts(ffts)] == [BAND64, GRID64.n_samples]
+        full_band = allocating_ssfm(pulse, fiber, fl.SsfmOptions(), band=GRID64.n_samples)
+        assert np.array_equal(out.samples, full_band)
+
+    def test_quarter_power_gaussian_stays_in_band(self, monkeypatch):
+        # at 1/4 of the power the share grows by ~6e-8 and the band holds
+        pulse, fiber, fine = n2_gaussian(0.25)
+        for tol in (1e-3, 1e-4):
+            with pytest.MonkeyPatch.context() as mp:
+                ffts = count_ffts(mp)
+                adaptive = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(local_error=tol))
+            assert [size for size, _ in trial_parts(ffts)] == [BAND64]
+            err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
+            assert err < tol
+
+    @pytest.mark.parametrize("samples_per_bit", [8, 16])
+    def test_no_band_at_16_samples_per_bit_or_fewer(self, monkeypatch, samples_per_bit):
+        # a band of 16 samples per bit would be the whole grid
+        grid = fl.SamplingGrid(10e9, 64, samples_per_bit, 1550e-9)
+        rng = np.random.default_rng(samples_per_bit)
+        n = grid.n_samples
+        field = fl.OpticalField(0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n)), grid)
+        fiber = fl.FiberParams(10.0, 16.0, 0.2, 1.3)
+        ffts = count_ffts(monkeypatch)
+        out = fl.propagate_fiber(field, fiber)
+        assert {size for _, size in ffts} == {n}
+        assert np.array_equal(out.samples, allocating_ssfm(field, fiber, fl.SsfmOptions(), band=n))
+
     @pytest.mark.parametrize("step_km", [0.5, None], ids=["fixed", "adaptive"])
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -471,17 +582,22 @@ class TestNonlinearPropagation:
     def test_one_fft_pair_per_step(self, monkeypatch, options, steps, split_steps):
         ffts = count_ffts(monkeypatch)
         fl.propagate_fiber(cw_field(), CW_SPAN, options)
-        assert ffts == held_as_spectrum(split_steps)
+        band = BAND64 if options.mode == "adaptive" else None
+        assert ffts == held_as_spectrum(split_steps, GRID64.n_samples, band)
 
     def test_default_run_trial_count(self, monkeypatch):
         # The default link at seed 42 has 4 fibers (24, 120, 120 and 24 km) at
-        # adaptive steps. Each makes one forward FFT in and one inverse out, and
-        # each of its trials 3 of each when no split step is cut short by
-        # MAX_STEP_PHASE.
+        # adaptive steps. Each makes one forward FFT in and one inverse out over
+        # all 32,768 samples, and each of its trials 3 of each when no split step
+        # is cut short by MAX_STEP_PHASE. The trials run over the 16,384 bins of
+        # |f| < 8x the bit rate, so their FFTs are counted by size: the band
+        # takes 46 trials, where the full grid took 47, and no fiber restarts.
         # Unlike the run time, the trial count does not drift with the host.
         ffts = count_ffts(monkeypatch)
         fl.run_link_full(fl.LinkConfig())
-        assert ffts.count("fft") == ffts.count("ifft") == 4 + 3 * 47
+        assert collections.Counter(ffts) == {
+            ("fft", 32768): 4, ("ifft", 32768): 4, ("fft", 16384): 3 * 46, ("ifft", 16384): 3 * 46,
+        }
 
     def test_span_resumes_from_kept_end(self):
         # 2 km and 4 km of one fiber at 1 km steps share their first 2 steps

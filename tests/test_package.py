@@ -14,8 +14,10 @@ import fiberlink as fl
 from conftest import ROOT, subprocess_env
 from fiberlink import config, fiber, link, metrics, receiver, signals, transmitter
 
-# Minor page faults per FFT pair of a warm propagate_fiber call at 32,768 samples.
-# The field is noise, so adaptive steps take ~45 trials, not the two a CW takes.
+# Minor page faults per FFT pair of a warm propagate_fiber call on a 32,768-sample
+# grid: fixed steps run their FFT pairs at 32,768 samples, adaptive ones at the
+# 16,384 of |f| < 8x the bit rate. The field is noise, so adaptive steps take
+# ~36 trials over 30 km, not the two a CW takes.
 FAULTS_PER_FFT_PAIR = """
 import resource
 import numpy as np
@@ -28,7 +30,7 @@ import fiberlink as fl
 grid = fl.SamplingGrid(10e9, 1024, 32, 1550e-9)
 n, rng = grid.n_samples, np.random.default_rng(0)
 field = fl.OpticalField(0.03 * (rng.normal(size=n) + 1j * rng.normal(size=n)), grid)
-fiber = fl.FiberParams(10.0, 17.0, 0.2, 1.3)
+fiber = fl.FiberParams({length_km}, 17.0, 0.2, 1.3)
 options = fl.SsfmOptions(step_km={step_km})
 fl.propagate_fiber(field, fiber, options)
 pairs.clear()
@@ -86,9 +88,10 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc", reason="the FFT scratch faults are glibc's mmap threshold"
 )
-@pytest.mark.parametrize("step_km", [0.1, None], ids=["fixed", "adaptive"])
-def test_split_steps_do_not_page_fault(step_km):
-    pairs, faults_per_pair = fresh_process(FAULTS_PER_FFT_PAIR.format(step_km=step_km))
+@pytest.mark.parametrize(("step_km", "length_km"), [(0.1, 10.0), (None, 30.0)], ids=["fixed", "adaptive"])
+def test_split_steps_do_not_page_fault(step_km, length_km):
+    code = FAULTS_PER_FFT_PAIR.format(step_km=step_km, length_km=length_km)
+    pairs, faults_per_pair = fresh_process(code)
     assert int(pairs) >= 100
     assert float(faults_per_pair) < 8, f"{faults_per_pair} minor page faults per FFT pair"
 
