@@ -62,7 +62,8 @@ LOCAL_ERROR_RANGE = (1e-8, 1e-3)
 # run, 6.3e-6 at 8 dBm, 2.2e-5 at 12 dBm and 1.0e-5 with ASE on at 8 dBm, and by
 # 2.3e-2 on the tests' N = 2 Gaussian, whose banded error is 13.7% (5.7e-8 and
 # 3e-6 at 1/4 power): a margin of 20x or more on each side. In between the
-# growth tracks the banded error (at 0.6x that power, 3.6e-4 and 4.6e-4).
+# growth tracks the banded error: at 0.6x that power it grows by 3.6e-4 and the
+# band errs by 4.6e-4 at local_error = 1e-4.
 MAX_EDGE_GROWTH = 1e-3
 
 
@@ -230,8 +231,10 @@ def propagate_fiber(
     multiply, and the two are spliced before the closing inverse FFT. A field
     that spreads past the band's middle, by more than ``MAX_EDGE_GROWTH`` of
     its energy at |f| >= 4x the bit rate since the first accepted trial,
-    restarts the fiber from its input over all samples. The total distance
-    integrated is ``fiber.length_km``. The input field is left untouched.
+    restarts the fiber from its input over all samples; energy that starts
+    outside the band, such as white noise, stays linear there. The total
+    distance integrated is ``fiber.length_km``. The input field is left
+    untouched.
 
     This is :func:`propagate_span` from step 0.
     """
@@ -267,8 +270,8 @@ def propagate_span(
     alpha_si = loss_db_to_alpha(fiber.loss_db_km) * 1e-3  # 1/m
     gamma_si = fiber.gamma_per_w_km * 1e-3  # 1/(W m)
     # Per-meter exponent of the linear operator over bins 0..n/2. fftfreq makes
-    # omega[n - k] exactly -omega[k], so set_ops mirrors it into bins band/2+1..band-1.
-    n, band = grid.n_samples, grid.n_samples
+    # omega[n - k] exactly -omega[k], so set_ops mirrors it into the upper bins.
+    n = grid.n_samples
     lin_rate = 0.5j * beta2_si * grid.omega()[: n // 2 + 1] ** 2 - 0.5 * alpha_si
     if options.step_km is not None:
         n_steps = options.fixed_steps(fiber)
@@ -313,11 +316,11 @@ def propagate_span(
         return float(abs2(u).sum())
 
     def set_ops(dz: float) -> None:
-        """``half`` = the linear operator over dz / 2, ``full`` = over dz, on ``band`` bins."""
-        m = band // 2 + 1
+        """``half`` = the linear operator over dz / 2, ``full`` = over dz, on half's bins."""
+        m = half.size // 2 + 1
         np.multiply(lin_rate[:m], dz / 2.0, out=half[:m])
         np.exp(half[:m], out=half[:m])
-        half[m:] = half[1 : band - m + 1][::-1]
+        half[m:] = half[1 : half.size - m + 1][::-1]
         np.multiply(half, half, out=full)
 
     if options.step_km is not None:
