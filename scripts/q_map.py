@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Q error of adaptive steps against the 0.1 km fixed-step oracle, per local error.
+
+For each ``--local-error`` value, runs the default link at every seed of
+``--seeds`` with that adaptive tolerance and prints the worst and the mean
+|Q - Q_ref| over the seeds, the seed of the worst, and the forward FFTs of
+one run by size (a range where the seeds differ). Q_ref is the q_db of
+``perfbench/reference.json``'s ``run_default`` CSV for the seed, recorded at
+fixed 0.1 km steps over the whole grid. With ``--set``, the link differs from
+the default, so Q_ref comes from a 0.1 km fixed-step run of the same config
+instead (~5 s per seed).
+
+Usage:
+    python3 scripts/q_map.py [--local-error 1e-4,2e-4] [--seeds 0-31]
+                             [--set tx.power_dbm=8 --set amp.ase=true]
+"""
+from __future__ import annotations
+
+import argparse
+import collections
+import csv
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+
+import fiberlink as fl
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``0-3,7`` -> [0, 1, 2, 3, 7]."""
+    seeds = []
+    for item in text.split(","):
+        first, _, last = item.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def run_q(settings: list[str]) -> tuple[float, collections.Counter]:
+    """Q in dB of one run of the config ``settings``, and its forward FFTs by size."""
+    ffts = collections.Counter()
+    forward = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        ffts[np.size(a)] += 1
+        return forward(a, *args, **kwargs)
+
+    np.fft.fft = counting
+    try:
+        q_db = fl.run_link_full(fl.parse_config("\n".join(settings))).q.q_db
+    finally:
+        np.fft.fft = forward
+    return q_db, ffts
+
+
+def reference_q(seeds: list[int]) -> dict[int, float]:
+    """Q_ref by seed, from the run_default CSVs of perfbench/reference.json."""
+    csvs = json.loads(REFERENCE.read_text(encoding="utf-8"))["workloads"]["run_default"]
+    return {s: float(next(csv.DictReader(io.StringIO(csvs[str(s)])))["q_db"]) for s in seeds}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--local-error", default="1e-4,2e-4,3e-4",
+                        help="comma-separated sim.local_error values")
+    parser.add_argument("--seeds", default="0-31", help="e.g. 0-31 or 0,5,9")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="a config setting for every run, oracle included")
+    args = parser.parse_args()
+
+    seeds = parse_seeds(args.seeds)
+    settings = [item.replace("=", " = ", 1) for item in args.set]
+    if settings:
+        q_ref = {s: run_q([*settings, f"sim.seed = {s}", "sim.step_km = 0.1"])[0] for s in seeds}
+    else:
+        q_ref = reference_q(seeds)
+
+    print(f"seeds {args.seeds}, Q_ref at 0.1 km fixed steps"
+          + (f", with {', '.join(args.set)}" if args.set else " from perfbench/reference.json"))
+    print(f"{'local_error':>11} {'worst dB':>10} {'seed':>5} {'mean dB':>10}  forward FFTs per run")
+    for tol in args.local_error.split(","):
+        errors, counts = {}, collections.defaultdict(list)
+        for s in seeds:
+            q_db, ffts = run_q([*settings, f"sim.seed = {s}", f"sim.local_error = {tol}"])
+            errors[s] = abs(q_db - q_ref[s])
+            for size in ffts.keys() | counts.keys():
+                counts[size].append(ffts[size])
+        worst = max(errors, key=errors.get)
+        by_size = ", ".join(
+            f"{min(c)}-{max(c)} at {size}" if min(c) < max(c) else f"{c[0]} at {size}"
+            for size, c in sorted(counts.items(), reverse=True)
+        )
+        mean = sum(errors.values()) / len(errors)
+        print(f"{float(tol):>11.3g} {errors[worst]:>10.3e} {worst:>5} {mean:>10.3e}  {by_size}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -39,7 +39,7 @@ PLANCK = 6.62607015e-34  # J s
 # (0.025 km steps over 120 km), so a too-fine step fails instead of hanging.
 MAX_STEPS_PER_SPAN = 100_000
 # Largest Kerr phase gamma*|A|^2*dz one split step may apply, in rad; over pi a
-# step does not resolve the SPM. Runs peak at 0.0105 rad (default), 0.0021
+# step does not resolve the SPM. Runs peak at 0.0106 rad (default), 0.0021
 # (sweep_cross, seed 7), 0.0377 (8 dBm pairs, 2 km steps), 0.000337 (0.1 km).
 MAX_STEP_PHASE = math.pi
 # Taylor coefficients of cos(phi) and sin(phi) / phi in t = phi^2, and the peak
@@ -48,23 +48,16 @@ _TAYLOR_COS = tuple((-1) ** j / math.factorial(2 * j) for j in range(15))
 _TAYLOR_SIN = tuple((-1) ** j / math.factorial(2 * j + 1) for j in range(15))
 _TAYLOR_PHASE = tuple((math.factorial(2 * k) * 2.0**-54) ** (0.5 / k) for k in range(2, 16))
 # Length of an adaptive fiber's first trial, in m, whatever the fiber's length:
-# on the default run a 2 km start takes 45 trials, 5 km 46, 10 km 50, 20 km 54.
+# on the default run a 2 km start takes 37 trials, 3 and 5 km 38, 10 km 42 and
+# 20 km 46; 2 and 3 km err more over seeds 0-31 (4.6e-3 and 4.4e-3 dB of Q).
 FIRST_TRIAL_M = 5e3
 # Relative local errors an adaptive step may be held to. On the default run,
-# 1e-8 takes ~390 trials per span, under 1% of the cap and ~34x the 1e-4
-# default. Over seeds 0-31 the worst |Q - Q(0.1 km fixed)| is 2.12e-3 dB at 1e-4
-# (mean 7.6e-4), 3.3e-3 at 2e-4, and past the oracle tests' 0.01 dB from 3e-4
-# (2.3e-2 at 1e-3).
+# 1e-8 takes 305-983 trials per span (the SMF after the first and DCF-post
+# restart on the full grid), under 1% of the cap. Over seeds 0-31 the worst
+# |Q - Q(0.1 km fixed)| is 2.1e-3 dB at 1e-4, 2.5e-3 at the 2e-4 default (mean
+# 9.0e-4), 1.1e-2 at 2.5e-4, 6.2e-3 at 3e-4 and 2.3e-2 at 1e-3, against the
+# oracle tests' 0.01 dB.
 LOCAL_ERROR_RANGE = (1e-8, 1e-3)
-# Largest growth of an adaptive band's share of energy at |f| >= 4x the bit rate
-# past its value at the fiber's first accepted trial; beyond it the fiber restarts
-# over all samples. Per fiber the share grew by at most 3.3e-7 on the default
-# run, 6.3e-6 at 8 dBm, 2.2e-5 at 12 dBm and 1.0e-5 with ASE on at 8 dBm, and by
-# 2.3e-2 on the tests' N = 2 Gaussian, whose banded error is 13.7% (5.7e-8 and
-# 3e-6 at 1/4 power): a margin of 20x or more on each side. In between the
-# growth tracks the banded error: at 0.6x that power it grows by 3.6e-4 and the
-# band errs by 4.6e-4 at local_error = 1e-4.
-MAX_EDGE_GROWTH = 1e-3
 
 
 class PropagationError(RuntimeError):
@@ -154,14 +147,14 @@ class SsfmOptions:
 
     ``step_km = None`` (adaptive mode, the default) sizes the steps by the
     local-error method of Sinkin, Holzloehner, Zweck & Menyuk (JLT 21(1):61-68,
-    2003), holding the relative error of each step near ``local_error``. A
+    2003), holding the relative error of each step to ``local_error``. A
     ``step_km`` selects fixed mode instead: equal steps no longer than
     ``step_km``, with ``local_error`` unused. Fixed 0.1 km steps are the
     reference oracle.
     """
 
     step_km: float | None = None
-    local_error: float = 1e-4
+    local_error: float = 2e-4
 
     def __post_init__(self) -> None:
         if not (self.step_km is None or 0 < self.step_km < np.inf):
@@ -219,22 +212,21 @@ def propagate_fiber(
     step of 2h and two fine steps of h, each closed by its half linear step,
     give U_c and U_f. The trial is accepted when the relative local error
     ``delta = |U_f - U_c| / |U_f|`` (that of the fields, by Parseval) is at
-    most ``2 * local_error``, as ``(4 U_f - U_c) / 3``; otherwise h is halved
-    and the trial retried. The local error scales as h^3, so an accepted trial
+    most ``local_error``, as ``(4 U_f - U_c) / 3``; otherwise h is halved and
+    the trial retried. The local error scales as h^3, so an accepted trial
     scales h by ``(local_error / delta)^(1/3)``, at most doubling it (at
     ``delta <= local_error / 8``). The first trial is ``FIRST_TRIAL_M`` long,
     or the whole fiber if that is shorter. A step whose Kerr phase is over
     ``MAX_STEP_PHASE`` fails a fixed-step span and rejects an adaptive trial.
-    Above 16 samples per bit, adaptive trials run over the bins |f| < 8x the
-    bit rate only, as a spectrum of ``n_bits * 16`` bins with the same |A|^2;
+    Above 12 samples per bit, adaptive trials run over the bins |f| < 6x the
+    bit rate only, as a spectrum of ``n_bits * 12`` bins with the same |A|^2;
     the bins outside take the exact linear operator of the whole fiber in one
     multiply, and the two are spliced before the closing inverse FFT. A field
-    that spreads past the band's middle, by more than ``MAX_EDGE_GROWTH`` of
-    its energy at |f| >= 4x the bit rate since the first accepted trial,
-    restarts the fiber from its input over all samples; energy that starts
-    outside the band, such as white noise, stays linear there. The total
-    distance integrated is ``fiber.length_km``. The input field is left
-    untouched.
+    whose share of energy at |f| >= 3x the bit rate grows by more than
+    ``local_error`` past its value at the first accepted trial restarts the
+    fiber from its input over all samples; energy that starts outside the
+    band, such as white noise, stays linear there. The total distance
+    integrated is ``fiber.length_km``. The input field is left untouched.
 
     This is :func:`propagate_span` from step 0.
     """
@@ -344,11 +336,12 @@ def propagate_span(
 
     tol = options.local_error
     whole = spec  # the input spectrum, left as it is until the splice
-    # The band's bins / (n / band) hold |A|^2 at every (n / band)-th sample.
-    for band in (grid.n_bits * 16, n) if grid.samples_per_bit > 16 else (n,):
+    # The band's bins / (n / band) hold the band-limited field's |A|^2 at band
+    # samples spread evenly over the frame, whether or not n / band is whole.
+    for band in (grid.n_bits * 12, n) if grid.samples_per_bit > 12 else (n,):
         if band < n:
             spec = np.concatenate((whole[: band // 2], whole[n - band // 2 :]))
-            spec /= n // band
+            spec /= n / band
         power, square = np.empty(band), np.empty(band)
         rotation, half, full, coarse, fine = (np.empty_like(spec) for _ in range(5))
         remaining, h, trials, edge = length_m, FIRST_TRIAL_M / 2.0, 0, None
@@ -377,13 +370,13 @@ def propagate_span(
                 err, ref = norm2(coarse), norm2(fine)
                 delta = math.sqrt(err / ref if ref > 0.0 else err)
             # Written so that a NaN estimate rejects the trial.
-            if not delta <= 2.0 * tol:
+            if not delta <= tol:
                 h /= 2.0
                 continue
             if band < n:  # norm2(fine) left its |U_f|^2 in power
                 share = float(power[band // 4 : band - band // 4].sum()) / (ref or 1.0)
                 edge = share if edge is None else edge
-                if share - edge > MAX_EDGE_GROWTH:
+                if share - edge > tol:
                     break
             coarse /= 3.0
             fine += coarse
@@ -397,7 +390,7 @@ def propagate_span(
         outer = np.exp(lin_rate[band // 2 :] * length_m)
         whole[band // 2 : n // 2 + 1] *= outer
         whole[n // 2 + 1 : n - band // 2] *= outer[-2:0:-1]
-        spec *= n // band
+        spec *= n / band
         whole[: band // 2], whole[n - band // 2 :] = spec[: band // 2], spec[band // 2 :]
         spec = whole
     return OpticalField(np.fft.ifft(spec, out=spec), grid), None

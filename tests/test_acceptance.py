@@ -37,6 +37,8 @@ SMALL_CFG = "\n".join(
 # recorded before adaptive steps became the default. The first row's link is
 # the default one, so it is also the q_db of `fiberlink run` with no config.
 FIXED_ORACLE_Q_DB = (46.65666737165141, 22.289100358432925, 20.038812099814812, 11.501105090927073)
+# q_db of the default link at a higher tx.power_dbm, at 0.1 km fixed steps.
+FIXED_ORACLE_Q_DB_BY_POWER = {8: 39.17496732811538, 12: 31.072970682408215}
 Q_TOL_DB = 0.01
 DESK_PRE_KM = (24.0, 30.0, 30.0, 35.0)
 DESK_POST_KM = (24.0, 24.0, 30.0, 35.0)
@@ -127,6 +129,17 @@ def test_default_stepping_matches_fixed_oracle():
     assert max(errors) < Q_TOL_DB, f"|q_db - q_db(0.1 km fixed)| = {errors} dB"
     assert fl.run_link_full(fl.LinkConfig()).q.q_db == rows[0].q_db
     announce(f"default stepping within {max(errors):.1e} dB of 0.1 km fixed steps")
+
+
+@pytest.mark.parametrize("power_dbm", sorted(FIXED_ORACLE_Q_DB_BY_POWER))
+def test_default_stepping_matches_fixed_oracle_at_high_power(power_dbm):
+    # The band's weakest point: its trials leave the Kerr term out above 6x
+    # the bit rate, which costs the most at high power. At 12 dBm the worst
+    # |q_db - q_db(0.1 km fixed)| over seeds 0-3 is 6.2e-3 dB.
+    q_db = fl.run_link_full(fl.parse_config(f"tx.power_dbm = {power_dbm}")).q.q_db
+    error = abs(q_db - FIXED_ORACLE_Q_DB_BY_POWER[power_dbm])
+    assert error < Q_TOL_DB, f"|q_db - q_db(0.1 km fixed)| = {error} dB at {power_dbm} dBm"
+    announce(f"default stepping within {error:.1e} dB of 0.1 km fixed steps at {power_dbm} dBm")
 
 
 def test_criterion_4_dispersion_oracle():

@@ -54,7 +54,7 @@ class TestDefaults:
         assert (cfg.sim.seed, cfg.sim.skip_bits) == (42, 8)
         assert cfg.sim.ssfm.mode == "adaptive"
         assert cfg.sim.ssfm.step_km is None
-        assert cfg.sim.ssfm.local_error == 1e-4
+        assert cfg.sim.ssfm.local_error == 2e-4
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = fl.parse_config(

@@ -16,8 +16,8 @@ from fiberlink import config, fiber, link, metrics, receiver, signals, transmitt
 
 # Minor page faults per FFT pair of a warm propagate_fiber call on a 32,768-sample
 # grid: fixed steps run their FFT pairs at 32,768 samples, adaptive ones at the
-# 16,384 of |f| < 8x the bit rate. The field is noise, so adaptive steps take
-# ~36 trials over 30 km, not the two a CW takes.
+# 12,288 of |f| < 6x the bit rate. The field is noise, so adaptive steps take
+# 38 trials over 120 km, not the few a CW takes.
 FAULTS_PER_FFT_PAIR = """
 import resource
 import numpy as np
@@ -88,7 +88,7 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc", reason="the FFT scratch faults are glibc's mmap threshold"
 )
-@pytest.mark.parametrize(("step_km", "length_km"), [(0.1, 10.0), (None, 30.0)], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize(("step_km", "length_km"), [(0.1, 10.0), (None, 120.0)], ids=["fixed", "adaptive"])
 def test_split_steps_do_not_page_fault(step_km, length_km):
     code = FAULTS_PER_FFT_PAIR.format(step_km=step_km, length_km=length_km)
     pairs, faults_per_pair = fresh_process(code)

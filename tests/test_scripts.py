@@ -14,8 +14,9 @@ from conftest import ROOT, subprocess_env
     [
         ("compensation_sweep.py", ["--quick"], "Q dB"),
         ("dispersion_map.py", [], "position_km,accumulated_ps_nm"),
+        ("q_map.py", ["--local-error", "2e-4", "--seeds", "0-1"], "4 at 32768, 114 at 12288"),
     ],
-    ids=["compensation_sweep", "dispersion_map"],
+    ids=["compensation_sweep", "dispersion_map", "q_map"],
 )
 def test_script_exits_0(script, args, expected):
     proc = subprocess.run(
