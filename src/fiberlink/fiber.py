@@ -48,15 +48,14 @@ _TAYLOR_COS = tuple((-1) ** j / math.factorial(2 * j) for j in range(15))
 _TAYLOR_SIN = tuple((-1) ** j / math.factorial(2 * j + 1) for j in range(15))
 _TAYLOR_PHASE = tuple((math.factorial(2 * k) * 2.0**-54) ** (0.5 / k) for k in range(2, 16))
 # Length of an adaptive fiber's first trial, in m, whatever the fiber's length:
-# on the default run a 2 km start takes 37 trials, 3 and 5 km 38, 10 km 42 and
-# 20 km 46; 2 and 3 km err more over seeds 0-31 (4.6e-3 and 4.4e-3 dB of Q).
+# on the default run a 2 km start takes 37 trials, 3 km 35, 5 km 36, 10 km 38
+# and 20 km 42; 2 and 3 km err more over seeds 0-31 (4.6e-3 and 6.1e-3 dB of Q).
 FIRST_TRIAL_M = 5e3
 # Relative local errors an adaptive step may be held to. On the default run,
-# 1e-8 takes 305-983 trials per span (the SMF after the first and DCF-post
-# restart on the full grid), under 1% of the cap. Over seeds 0-31 the worst
-# |Q - Q(0.1 km fixed)| is 2.1e-3 dB at 1e-4, 2.5e-3 at the 2e-4 default (mean
-# 9.0e-4), 1.1e-2 at 2.5e-4, 6.2e-3 at 3e-4 and 2.3e-2 at 1e-3, against the
-# oracle tests' 0.01 dB.
+# 1e-8 takes 277-911 trials per span (the second SMF and DCF-post restart on the
+# full grid), under 1% of the cap. Over seeds 0-31 the worst |Q - Q(0.1 km
+# fixed)| is 1.4e-3 dB at 1e-4, 3.0e-3 at the 2e-4 default (mean 1.4e-3), 1.9e-2
+# at 2.5e-4, 1.6e-2 at 3e-4 and 2.3e-2 at 1e-3, against the oracle tests' 0.01 dB.
 LOCAL_ERROR_RANGE = (1e-8, 1e-3)
 
 
@@ -147,7 +146,7 @@ class SsfmOptions:
 
     ``step_km = None`` (adaptive mode, the default) sizes the steps by the
     local-error method of Sinkin, Holzloehner, Zweck & Menyuk (JLT 21(1):61-68,
-    2003), holding the relative error of each step to ``local_error``. A
+    2003), holding the relative error of each step near ``local_error``. A
     ``step_km`` selects fixed mode instead: equal steps no longer than
     ``step_km``, with ``local_error`` unused. Fixed 0.1 km steps are the
     reference oracle.
@@ -212,8 +211,8 @@ def propagate_fiber(
     step of 2h and two fine steps of h, each closed by its half linear step,
     give U_c and U_f. The trial is accepted when the relative local error
     ``delta = |U_f - U_c| / |U_f|`` (that of the fields, by Parseval) is at
-    most ``local_error``, as ``(4 U_f - U_c) / 3``; otherwise h is halved and
-    the trial retried. The local error scales as h^3, so an accepted trial
+    most ``2 * local_error``, as ``(4 U_f - U_c) / 3``; otherwise h is halved
+    and the trial retried. The local error scales as h^3, so an accepted trial
     scales h by ``(local_error / delta)^(1/3)``, at most doubling it (at
     ``delta <= local_error / 8``). The first trial is ``FIRST_TRIAL_M`` long,
     or the whole fiber if that is shorter. A step whose Kerr phase is over
@@ -370,7 +369,7 @@ def propagate_span(
                 err, ref = norm2(coarse), norm2(fine)
                 delta = math.sqrt(err / ref if ref > 0.0 else err)
             # Written so that a NaN estimate rejects the trial.
-            if not delta <= tol:
+            if not delta <= 2.0 * tol:
                 h /= 2.0
                 continue
             if band < n:  # norm2(fine) left its |U_f|^2 in power

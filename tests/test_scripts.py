@@ -14,7 +14,7 @@ from conftest import ROOT, subprocess_env
     [
         ("compensation_sweep.py", ["--quick"], "Q dB"),
         ("dispersion_map.py", [], "position_km,accumulated_ps_nm"),
-        ("q_map.py", ["--local-error", "2e-4", "--seeds", "0-1"], "4 at 32768, 114 at 12288"),
+        ("q_map.py", ["--local-error", "2e-4", "--seeds", "0-1"], "4 at 32768, 108 at 12288"),
     ],
     ids=["compensation_sweep", "dispersion_map", "q_map"],
 )
