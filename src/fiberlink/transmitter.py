@@ -138,20 +138,18 @@ def nrz_drive(bits: BitSequence, grid: SamplingGrid, rise_time: float) -> Electr
         raise ValueError(f"got {bits.bits.size} bits for a grid of {grid.n_bits} bit slots")
     b = bits.bits.astype(np.float64)
     spb = grid.samples_per_bit
-    n = grid.n_samples
-    idx = np.arange(n)
-    bit_idx = idx // spb
-    frac = (idx % spb) / spb  # position within the bit, [0, 1)
-    cur = b[bit_idx]
-    prev = b[(bit_idx - 1) % grid.n_bits]
-    nxt = b[(bit_idx + 1) % grid.n_bits]
+    # One row per bit slot: the current, previous and next bit are columns.
+    cur = b[:, None]
+    prev = np.roll(b, 1)[:, None]
+    nxt = np.roll(b, -1)[:, None]
+    frac = np.arange(spb) / spb  # position within the bit, [0, 1)
     half = rise_time / 2.0
-    v = cur.copy()
+    v = np.repeat(cur, spb, axis=1)
     lead = frac < half  # still finishing the transition from the previous bit
-    v[lead] = prev[lead] + (cur[lead] - prev[lead]) * (frac[lead] + half) / rise_time
+    v[:, lead] = prev + (cur - prev) * (frac[lead] + half) / rise_time
     tail = frac >= 1.0 - half  # starting the transition into the next bit
-    v[tail] = cur[tail] + (nxt[tail] - cur[tail]) * (frac[tail] - (1.0 - half)) / rise_time
-    return ElectricalWaveform(v, grid)
+    v[:, tail] = cur + (nxt - cur) * (frac[tail] - (1.0 - half)) / rise_time
+    return ElectricalWaveform(v.ravel(), grid)
 
 
 def cw_laser(
@@ -204,15 +202,6 @@ def mz_modulate(
     return OpticalField(field.samples * amp, field.grid)
 
 
-def _mark_center_mask(bits: BitSequence, grid: SamplingGrid) -> np.ndarray:
-    """Samples in the flat central half of each mark bit."""
-    spb = grid.samples_per_bit
-    idx = np.arange(grid.n_samples)
-    frac = (idx % spb) / spb
-    is_mark = bits.bits[idx // spb] == 1
-    return is_mark & (frac >= 0.25) & (frac < 0.75)
-
-
 def transmit(
     config: TxConfig,
     grid: SamplingGrid,
@@ -237,10 +226,11 @@ def transmit(
     drive = nrz_drive(bits, grid, config.rise_time)
     laser = cw_laser(grid, 1.0, config.linewidth_hz, rng)
     modulated = mz_modulate(laser, drive, config.extinction_db)
-    mask = _mark_center_mask(bits, grid)
-    if not np.any(mask):
+    spb = grid.samples_per_bit
+    centers = modulated.samples.reshape(grid.n_bits, spb)[bits.bits == 1, spb // 4 : 3 * spb // 4]
+    if centers.size == 0:
         raise ValueError("bit pattern contains no mark bits to set the launch power against")
-    p_mark = float(np.mean(np.abs(modulated.samples[mask]) ** 2))
+    p_mark = float(np.mean(np.abs(centers) ** 2))
     target = dbm_to_watts(config.launch_power_dbm)
     scale = np.sqrt(target / p_mark)
     return bits, OpticalField(modulated.samples * scale, grid)

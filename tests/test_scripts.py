@@ -1,6 +1,7 @@
 """The example scripts in scripts/ run to completion against this source tree."""
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 
@@ -28,3 +29,35 @@ def test_script_exits_0(script, args, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+def test_cmp_outputs_compare(tmp_path):
+    # The comparison step of scripts/cmp_outputs.py on fabricated output trees;
+    # building real trees runs the 0.1 km oracle and is left to the script.
+    path = ROOT / "scripts" / "cmp_outputs.py"
+    spec = importlib.util.spec_from_file_location("cmp_outputs", path)
+    cmp_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cmp_outputs)
+    header = "pre_km,post_km,residual_ps_nm,q_db,ber,jitter_ns,seed\n"
+    row = "24.0,24.0,0.0,46.5,1e-9,0.001,42\n"
+    for tree in ("old", "new"):
+        for name, (_, _, files) in cmp_outputs.OUTPUTS.items():
+            (tmp_path / tree / name).mkdir(parents=True)
+            for file in files:
+                (tmp_path / tree / name / file).write_text(header + row)
+    old, new = tmp_path / "old", tmp_path / "new"
+    report = cmp_outputs.compare(old, new)
+    assert [file for file, _, _ in report] == [
+        "default/result.csv", "default/eye.txt", "oracle/result.csv", "oracle/eye.txt",
+        "sweep_cross/sweep.csv", "pairs/sweep.csv",
+    ]
+    assert all(same for _, same, _ in report)
+
+    (new / "default" / "result.csv").write_text(header + "24.0,24.0,0.0,46.25,1e-9,0.001,42\n")
+    (new / "oracle" / "eye.txt").write_text("changed\n")
+    (new / "pairs" / "sweep.csv").unlink()
+    report = {file: (same, note) for file, same, note in cmp_outputs.compare(old, new)}
+    assert report["default/result.csv"] == (False, "max |dq_db| 2.500e-01")
+    assert report["oracle/eye.txt"] == (False, "")
+    assert report["pairs/sweep.csv"] == (False, "missing")
+    assert sum(not same for same, _ in report.values()) == 3

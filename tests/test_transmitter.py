@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fiberlink as fl
+from fiberlink.signals import ALLOWED_SAMPLES_PER_BIT
 from fiberlink.transmitter import DEFAULT_LFSR_SEED, PRBS_TAPS
 
 
@@ -18,6 +19,27 @@ def lfsr_reference(order: int, taps: tuple[int, int], seed: int, n: int) -> list
         out.append(fb)
         state = ((state << 1) | fb) & mask
     return out
+
+
+def per_sample_drive(bits: fl.BitSequence, grid: fl.SamplingGrid, rise_time: float) -> np.ndarray:
+    """Independent trapezoid used as the drive oracle: every sample gathers its
+    own bit and both neighbours by index, in the same operation order as
+    ``nrz_drive``, so the two agree bit for bit."""
+    b = bits.bits.astype(np.float64)
+    spb = grid.samples_per_bit
+    idx = np.arange(grid.n_samples)
+    bit_idx = idx // spb
+    frac = (idx % spb) / spb
+    cur = b[bit_idx]
+    prev = b[(bit_idx - 1) % grid.n_bits]
+    nxt = b[(bit_idx + 1) % grid.n_bits]
+    half = rise_time / 2.0
+    v = cur.copy()
+    lead = frac < half
+    v[lead] = prev[lead] + (cur[lead] - prev[lead]) * (frac[lead] + half) / rise_time
+    tail = frac >= 1.0 - half
+    v[tail] = cur[tail] + (nxt[tail] - cur[tail]) * (frac[tail] - (1.0 - half)) / rise_time
+    return v
 
 
 class TestPrbs:
@@ -127,6 +149,22 @@ class TestNrzDrive:
         centers = drive.samples.reshape(64, spb)[:, spb // 4 : (3 * spb) // 4]
         expected = np.broadcast_to(bits.bits.astype(float)[:, None], centers.shape)
         np.testing.assert_allclose(centers, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("rise_time", [0.01, 0.1, 0.25, 0.3, 0.49])
+    @pytest.mark.parametrize("spb", ALLOWED_SAMPLES_PER_BIT)
+    def test_matches_per_sample_oracle(self, spb, rise_time):
+        grid = fl.SamplingGrid(10e9, 32, spb, 1550e-9)
+        patterns = {
+            "random": np.random.default_rng(spb).integers(0, 2, 32),
+            "ones": np.ones(32),
+            "zeros": np.zeros(32),
+            "alternating": np.tile([1, 0], 16),
+        }
+        for name, pattern in patterns.items():
+            bits = fl.BitSequence(pattern.astype(np.uint8))
+            drive = fl.nrz_drive(bits, grid, rise_time)
+            expected = per_sample_drive(bits, grid, rise_time)
+            assert np.array_equal(drive.samples, expected), name
 
     def test_bit_count_mismatch(self, grid64):
         bits = fl.BitSequence(np.ones(32, dtype=np.uint8))
@@ -249,6 +287,22 @@ class TestTransmit:
         power = np.abs(field.samples.reshape(64, spb)) ** 2
         centers = power[bits.bits == 1, spb // 4 : (3 * spb) // 4]
         assert float(np.mean(centers)) == pytest.approx(1e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("spb", ALLOWED_SAMPLES_PER_BIT)
+    def test_mark_power_at_every_samples_per_bit(self, spb):
+        grid = fl.SamplingGrid(10e9, 32, spb, 1550e-9)
+        cfg = fl.TxConfig(launch_power_dbm=5.0)
+        bits, field = fl.transmit(cfg, grid, np.random.default_rng(spb))
+        power = np.abs(field.samples.reshape(32, spb)) ** 2
+        centers = power[bits.bits == 1, spb // 4 : (3 * spb) // 4]
+        assert float(np.mean(centers)) == pytest.approx(fl.dbm_to_watts(5.0), rel=1e-12)
+
+    def test_no_mark_bits_rejected(self):
+        # PRBS-31 from the default seed emits its first one at bit 27, so a
+        # 16-bit frame holds no mark to set the launch power against.
+        grid = fl.SamplingGrid(10e9, 16, 8, 1550e-9)
+        with pytest.raises(ValueError, match="bit pattern contains no mark bits"):
+            fl.transmit(fl.TxConfig(prbs_order=31), grid, np.random.default_rng(0))
 
     def test_space_power_at_extinction(self, grid64):
         cfg = fl.TxConfig(extinction_db=30.0, linewidth_hz=0.0)
