@@ -385,6 +385,8 @@ def propagate_span(
         if remaining <= 0.0:
             break
         spec = whole
+    # Free the step buffers so the splice and the closing FFT reuse their memory.
+    del power, square, rotation, half, full, coarse, fine
     if band < n:
         outer = np.exp(lin_rate[band // 2 :] * length_m)
         whole[band // 2 : n // 2 + 1] *= outer
