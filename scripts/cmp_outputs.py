@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Byte-compare the four reference outputs of a git revision and of the working tree.
+"""Byte-compare the five reference outputs of a git revision and of the working tree.
 
 Builds every output twice in temporary directories, once from ``git archive
 REV`` and once from this working tree, running ``python -m fiberlink`` with
-``PYTHONPATH`` set to each tree's ``src``. The four outputs are:
+``PYTHONPATH`` set to each tree's ``src``. The five outputs are:
 
 - ``default``: the default ``fiberlink run`` (result.csv, eye.txt);
 - ``oracle``: the same run at ``sim.step_km = 0.1`` (result.csv, eye.txt);
 - ``sweep_cross``: perfbench's ``sweep_cross`` settings at ``sim.seed = 7``
   (sweep.csv);
 - ``pairs``: the acceptance pairs ``--pre 24,30,30,35 --post 24,24,30,35`` at
-  ``sim.step_km = 2`` and ``tx.power_dbm = 8`` (sweep.csv).
+  ``sim.step_km = 2`` and ``tx.power_dbm = 8`` (sweep.csv);
+- ``per_row``: the same pairs at ``sim.step_km = 2`` and the default power,
+  with ``--per-row-seeds`` (sweep.csv): the sweep's own first RNG use.
 
-Prints ``same`` or ``differs`` for each of the six files, with the largest
+Prints ``same`` or ``differs`` for each of the seven files, with the largest
 |delta q_db| for a CSV that differs, and exits 1 on any difference. The
 0.1 km oracle dominates the run time, ~5 s per tree.
 
@@ -45,6 +47,11 @@ OUTPUTS = {
     "pairs": (
         "sim.step_km = 2\ntx.power_dbm = 8\n",
         ["sweep", "--pre", "24,30,30,35", "--post", "24,24,30,35"],
+        ["sweep.csv"],
+    ),
+    "per_row": (
+        "sim.step_km = 2\n",
+        ["sweep", "--per-row-seeds", "--pre", "24,30,30,35", "--post", "24,24,30,35"],
         ["sweep.csv"],
     ),
 }

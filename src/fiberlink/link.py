@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import math
+import random
+import sys
+import types
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -197,9 +201,22 @@ class LinkRunResult:
     seed: int
 
 
+def _np_random() -> types.ModuleType:
+    """``numpy.random``, first loaded without OpenSSL: numpy takes only ``randbits`` from
+    ``secrets``, so a stand-in serves it and ``hmac``, ``hashlib`` and ``_hashlib`` stay out."""
+    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
+        sys.modules["secrets"] = stand_in = types.ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits  # what secrets.randbits is
+        try:
+            importlib.import_module("numpy.random")
+        finally:
+            del sys.modules["secrets"]  # a later ``import secrets`` loads the real one
+    return np.random
+
+
 def _streams(seed: int) -> list[np.random.SeedSequence]:
     """Seed sequences of the transmitter, the amplifier chain and the receiver."""
-    return np.random.SeedSequence(seed).spawn(3)
+    return _np_random().SeedSequence(seed).spawn(3)
 
 
 def _finish(config: LinkConfig, bits: BitSequence, field_: OpticalField) -> LinkRunResult:
@@ -327,7 +344,7 @@ def sweep(
     for index, (pre, post) in enumerate(pairs):
         seed = config.sim.seed
         if per_row_seeds:
-            seed = int(np.random.SeedSequence([config.sim.seed, index]).generate_state(1)[0])
+            seed = int(_np_random().SeedSequence([config.sim.seed, index]).generate_state(1)[0])
         rows.append((pre, post, seed))
         try:
             sim = dataclasses.replace(config.sim, seed=seed)

@@ -42,17 +42,17 @@ def gaussian_pulse(grid64):
     return fl.OpticalField(np.exp(-(t**2) / (2 * t0**2)).astype(complex), grid64), t0
 
 
+# Config text of a scaled-down link that runs in well under a second.
+SMALL_LINK = """\
+sim.n_bits = 64
+sim.samples_per_bit = 16
+sim.step_km = 1.0
+smf.length_km = 12
+dcf.pre_length_km = 2.4
+dcf.post_length_km = 2.4
+"""
+
+
 def small_link_config(**overrides) -> fl.LinkConfig:
-    """A scaled-down link that runs in well under a second."""
-    text = "\n".join(
-        [
-            "sim.n_bits = 64",
-            "sim.samples_per_bit = 16",
-            "sim.step_km = 1.0",
-            "smf.length_km = 12",
-            "dcf.pre_length_km = 2.4",
-            "dcf.post_length_km = 2.4",
-        ]
-        + [f"{k} = {v}" for k, v in overrides.items()]
-    )
-    return fl.parse_config(text)
+    """``SMALL_LINK`` with ``overrides`` set."""
+    return fl.parse_config(SMALL_LINK + "".join(f"{k} = {v}\n" for k, v in overrides.items()))

@@ -8,10 +8,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fiberlink as fl
-from conftest import ROOT, subprocess_env
+from conftest import ROOT, SMALL_LINK, small_link_config, subprocess_env
 from fiberlink import config, fiber, link, metrics, receiver, signals, transmitter
 
 # Minor page faults per FFT pair of a warm propagate_fiber call on a 32,768-sample
@@ -38,6 +39,24 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 fl.propagate_fiber(field, fiber, options)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print(len(pairs), (after - before) / len(pairs))
+"""
+
+# One CLI command in a new interpreter that imports numpy and scipy first, as
+# perfbench's child process does. It prints the OpenSSL modules the command's
+# first RNG use left loaded ("-" for none), whether a later ``import secrets``
+# gets the real module, and whether two unseeded SeedSequences draw different
+# entropy.
+FIRST_RNG_USE = """
+import contextlib, io, sys
+import numpy, scipy
+import fiberlink.cli
+assert "numpy.random" not in sys.modules and "secrets" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fiberlink.cli.main({args!r}) == 0
+print(",".join(m for m in ("secrets", "hmac", "_hashlib") if m in sys.modules) or "-")
+import secrets
+print(hasattr(secrets, "token_bytes"))
+print(numpy.random.SeedSequence().entropy != numpy.random.SeedSequence().entropy)
 """
 
 
@@ -77,12 +96,37 @@ def test_readme_counts_the_public_names():
     assert int(stated.group(1)) == len(fl.__all__)
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy_or_rng():
+    # numpy.random loads at the first RNG use, inside the run, so it cannot
+    # drift into start-up.
     loaded = fresh_process(
         "import sys, fiberlink.cli\n"
-        "print(*[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        "print(*[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+        " or m in ('numpy.random', 'secrets')])"
     )
     assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run"], ["sweep", "--per-row-seeds", "--pre", "2.4,3", "--post", "2.4,3"]],
+    ids=["run", "sweep_per_row_seeds"],
+)
+def test_first_rng_use_loads_no_openssl(tmp_path, args):
+    (tmp_path / "link.cfg").write_text(SMALL_LINK, encoding="utf-8")
+    args = [*args, "--config", str(tmp_path / "link.cfg"), "--out", str(tmp_path)]
+    loaded, real_secrets, fresh_entropy = fresh_process(FIRST_RNG_USE.format(args=args))
+    assert loaded == "-"
+    assert real_secrets == "True"
+    assert fresh_entropy == "True"
+
+
+def test_rng_use_with_numpy_random_loaded_keeps_secrets():
+    assert np.random is sys.modules["numpy.random"]  # loaded, as in any test process
+    secrets = sys.modules.get("secrets")
+    link.run_link_full(small_link_config())
+    link.sweep(small_link_config(), [(2.4, 2.4)], per_row_seeds=True)
+    assert sys.modules.get("secrets") is secrets
 
 
 @pytest.mark.skipif(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +50,7 @@ def test_cmp_outputs_compare(tmp_path):
     report = cmp_outputs.compare(old, new)
     assert [file for file, _, _ in report] == [
         "default/result.csv", "default/eye.txt", "oracle/result.csv", "oracle/eye.txt",
-        "sweep_cross/sweep.csv", "pairs/sweep.csv",
+        "sweep_cross/sweep.csv", "pairs/sweep.csv", "per_row/sweep.csv",
     ]
     assert all(same for _, same, _ in report)
 
@@ -61,3 +62,26 @@ def test_cmp_outputs_compare(tmp_path):
     assert report["oracle/eye.txt"] == (False, "")
     assert report["pairs/sweep.csv"] == (False, "missing")
     assert sum(not same for same, _ in report.values()) == 3
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads /proc/self/status")
+def test_rss_stages_prints_every_stage(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "rss_stages.py"), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The table is the last 15 lines: a header, then (stage, VmRSS, VmHWM) rows.
+    header, *rows = [line.rsplit(maxsplit=2) for line in proc.stdout.splitlines()[-15:]]
+    assert header == ["stage", "VmRSS_MiB", "VmHWM_MiB"]
+    assert [stage for stage, _, _ in rows] == [
+        "imports", "first RNG use", "transmit",
+        "propagate_fiber DCF-pre", "amplify AMP", "propagate_fiber SMF", "amplify AMP",
+        "propagate_fiber SMF", "amplify AMP", "propagate_fiber DCF-post", "amplify AMP",
+        "receive", "estimate_q", "format_eye",
+    ]
+    assert all(0 < float(rss) <= float(hwm) for _, rss, hwm in rows)
+    assert (tmp_path / "result.csv").is_file()
