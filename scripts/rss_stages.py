@@ -77,7 +77,7 @@ def main() -> int:
 
     def first_streams(seed):
         result = streams(seed)
-        if len(readings) == 1:
+        if len(readings) == 1:  # the run's first call comes before every other stage
             readings.append(("first RNG use", *memory_mib()))
         return result
 
