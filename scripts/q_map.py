@@ -3,8 +3,11 @@
 
 For each ``--local-error`` value, runs the default link at every seed of
 ``--seeds`` with that adaptive tolerance and prints the worst and the mean
-|Q - Q_ref| over the seeds, the seed of the worst, and the forward FFTs of
-one run by size (a range where the seeds differ). Q_ref is the q_db of
+|Q - Q_ref| over the seeds, the seed of the worst, the forward FFTs of
+one run by size (a range where the seeds differ), and the band each fiber's
+trials ran on: the sizes of the FFTs inside its ``propagate_fiber`` call after
+the first, joined by ``>`` where a fiber restarted on the whole grid, and by
+``|`` where the seeds differ. Q_ref is the q_db of
 ``perfbench/reference.json``'s ``run_default`` CSV for the seed, recorded at
 fixed 0.1 km steps over the whole grid. With ``--set``, the link differs from
 the default, so Q_ref comes from a 0.1 km fixed-step run of the same config
@@ -39,21 +42,29 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_q(settings: list[str]) -> tuple[float, collections.Counter]:
-    """Q in dB of one run of the config ``settings``, and its forward FFTs by size."""
-    ffts = collections.Counter()
-    forward = np.fft.fft
+def run_q(settings: list[str]) -> tuple[float, collections.Counter, list[tuple[str, str]]]:
+    """Q in dB of one run of the config ``settings``, its forward FFTs by size, and
+    each fiber's label and band, as ``("SMF", "8192")``."""
+    sizes, bands = [], []
+    forward, propagate = np.fft.fft, fl.link.propagate_fiber
 
     def counting(a, *args, **kwargs):
-        ffts[np.size(a)] += 1
+        sizes.append(np.size(a))
         return forward(a, *args, **kwargs)
 
-    np.fft.fft = counting
+    def recording(field, fiber, *args):
+        first = len(sizes)
+        out = propagate(field, fiber, *args)
+        trial_sizes = dict.fromkeys(sizes[first + 1 :])
+        bands.append((fiber.label, ">".join(str(size) for size in trial_sizes)))
+        return out
+
+    np.fft.fft, fl.link.propagate_fiber = counting, recording
     try:
         q_db = fl.run_link_full(fl.parse_config("\n".join(settings))).q.q_db
     finally:
-        np.fft.fft = forward
-    return q_db, ffts
+        np.fft.fft, fl.link.propagate_fiber = forward, propagate
+    return q_db, collections.Counter(sizes), bands
 
 
 def reference_q(seeds: list[int]) -> dict[int, float]:
@@ -82,12 +93,14 @@ def main() -> int:
           + (f", with {', '.join(args.set)}" if args.set else " from perfbench/reference.json"))
     print(f"{'local_error':>11} {'worst dB':>10} {'seed':>5} {'mean dB':>10}  forward FFTs per run")
     for tol in args.local_error.split(","):
-        errors, counts = {}, collections.defaultdict(list)
+        errors, counts, bands = {}, collections.defaultdict(list), collections.defaultdict(dict)
         for s in seeds:
-            q_db, ffts = run_q([*settings, f"sim.seed = {s}", f"sim.local_error = {tol}"])
+            q_db, ffts, fibers = run_q([*settings, f"sim.seed = {s}", f"sim.local_error = {tol}"])
             errors[s] = abs(q_db - q_ref[s])
             for size in ffts.keys() | counts.keys():
                 counts[size].append(ffts[size])
+            for i, (label, band) in enumerate(fibers):
+                bands[i, label][band] = None
         worst = max(errors, key=errors.get)
         by_size = ", ".join(
             f"{min(c)}-{max(c)} at {size}" if min(c) < max(c) else f"{c[0]} at {size}"
@@ -95,6 +108,8 @@ def main() -> int:
         )
         mean = sum(errors.values()) / len(errors)
         print(f"{float(tol):>11.3g} {errors[worst]:>10.3e} {worst:>5} {mean:>10.3e}  {by_size}")
+        by_fiber = ", ".join(f"{label} {'|'.join(b)}" for (_, label), b in bands.items())
+        print(f"{'':>11} bands: {by_fiber}")
     return 0
 
 

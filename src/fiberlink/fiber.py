@@ -48,15 +48,24 @@ _TAYLOR_COS = tuple((-1) ** j / math.factorial(2 * j) for j in range(15))
 _TAYLOR_SIN = tuple((-1) ** j / math.factorial(2 * j + 1) for j in range(15))
 _TAYLOR_PHASE = tuple((math.factorial(2 * k) * 2.0**-54) ** (0.5 / k) for k in range(2, 16))
 # Length of an adaptive fiber's first trial, in m, whatever the fiber's length:
-# on the default run a 2 km start takes 37 trials, 3 km 35, 5 km 36, 10 km 38
-# and 20 km 42; 2 and 3 km err more over seeds 0-31 (4.6e-3 and 6.1e-3 dB of Q).
+# on the default run a 2 km start takes 35 trials, 3 km 34, 5 km 35, 10 km 35
+# and 20 km 39; on the 6x band 2 and 3 km erred more over seeds 0-31 (4.6e-3 and
+# 6.1e-3 dB of Q).
 FIRST_TRIAL_M = 5e3
 # Relative local errors an adaptive step may be held to. On the default run,
 # 1e-8 takes 277-911 trials per span (the second SMF and DCF-post restart on the
 # full grid), under 1% of the cap. Over seeds 0-31 the worst |Q - Q(0.1 km
-# fixed)| is 1.4e-3 dB at 1e-4, 3.0e-3 at the 2e-4 default (mean 1.4e-3), 1.9e-2
-# at 2.5e-4, 1.6e-2 at 3e-4 and 2.3e-2 at 1e-3, against the oracle tests' 0.01 dB.
+# fixed)| is 3.0e-3 dB at 1e-4, 3.9e-3 at the 2e-4 default (mean 1.3e-3), 1.9e-2
+# at 2.5e-4, 1.4e-2 at 3e-4 and 2.9e-2 at 1e-3, against the oracle tests' 0.01 dB.
 LOCAL_ERROR_RANGE = (1e-8, 1e-3)
+# Budgets of an adaptive fiber's predicted band error (see propagate_fiber). At
+# 0 dBm over seeds 0-31, the error at 4x the bit rate is at most 1.06e-3 on the
+# default link and 1.17e-3 on the pairs 30/24 and 35/35 (a first SMF); at 8 dBm
+# it is at least 1.58e-3 (DCF-pre): a window of (5.9, 7.9) at the 2e-4 default.
+NARROW_BAND_BUDGET = 6.7
+# At 6x: at most 2.68e-2 on the documented runs (12 dBm with ASE, seeds 0-7) and
+# 2.65e-2 on noise the band holds, 0.165 and more on noise it gets wrong.
+BAND_ERROR_CEILING = 0.05
 
 
 class PropagationError(RuntimeError):
@@ -217,15 +226,17 @@ def propagate_fiber(
     ``delta <= local_error / 8``). The first trial is ``FIRST_TRIAL_M`` long,
     or the whole fiber if that is shorter. A step whose Kerr phase is over
     ``MAX_STEP_PHASE`` fails a fixed-step span and rejects an adaptive trial.
-    Above 12 samples per bit, adaptive trials run over the bins |f| < 6x the
-    bit rate only, as a spectrum of ``n_bits * 12`` bins with the same |A|^2;
-    the bins outside take the exact linear operator of the whole fiber in one
-    multiply, and the two are spliced before the closing inverse FFT. A field
-    whose share of energy at |f| >= 3x the bit rate grows by more than
+    Adaptive trials run over the bins |f| < 4x (``n_bits * 8``) or 6x the bit
+    rate only, as a spectrum with the same |A|^2; the bins outside take the
+    exact linear operator of the whole fiber in one multiply, and the two are
+    spliced before the closing inverse FFT. The band is the narrower one, if
+    smaller than the grid, whose predicted error ``gamma * P_peak * L_eff *
+    sqrt(input energy share outside it)`` is at most ``NARROW_BAND_BUDGET *
+    local_error`` or ``BAND_ERROR_CEILING``, else the whole grid. A field whose
+    share of energy past the middle of its band grows by more than
     ``local_error`` past its value at the first accepted trial restarts the
-    fiber from its input over all samples; energy that starts outside the
-    band, such as white noise, stays linear there. The total distance
-    integrated is ``fiber.length_km``. The input field is left untouched.
+    fiber from its input over all samples. The total distance integrated is
+    ``fiber.length_km``. The input field is left untouched.
 
     This is :func:`propagate_span` from step 0.
     """
@@ -335,9 +346,18 @@ def propagate_span(
 
     tol = options.local_error
     whole = spec  # the input spectrum, left as it is until the splice
+    # The predicted band errors are products of Python floats, which overflow
+    # to inf and make inf * 0 NaN with no warning; a NaN error takes all n bins.
+    l_eff = -math.expm1(-alpha_si * length_m) / float(alpha_si) if alpha_si > 0.0 else length_m
+    peak = float(np.abs(field.samples).max())
+    reach = gamma_si * peak * peak * l_eff
+    budgets = {grid.n_bits * 8: NARROW_BAND_BUDGET * tol, grid.n_bits * 12: BAND_ERROR_CEILING}
+    shares = _shares_outside(whole, tuple(budgets))
+    fits = (b for b, s in zip(budgets, shares) if b < n and reach * math.sqrt(s) <= budgets[b])
+    band = next(fits, n)
     # The band's bins / (n / band) hold the band-limited field's |A|^2 at band
     # samples spread evenly over the frame, whether or not n / band is whole.
-    for band in (grid.n_bits * 12, n) if grid.samples_per_bit > 12 else (n,):
+    for band in (band, n) if band < n else (n,):
         if band < n:
             spec = np.concatenate((whole[: band // 2], whole[n - band // 2 :]))
             spec /= n / band
@@ -395,6 +415,18 @@ def propagate_span(
         whole[: band // 2], whole[n - band // 2 :] = spec[: band // 2], spec[band // 2 :]
         spec = whole
     return OpticalField(np.fft.ifft(spec, out=spec), grid), None
+
+
+def _shares_outside(spectrum: np.ndarray, bands: tuple[int, ...]) -> list[float]:
+    """The share of ``spectrum``'s energy outside its b bins of lowest |f| for each b in
+    ``bands``, 0 if dark; |spectrum| is scaled to a peak of 1 so that no square overflows."""
+    n = spectrum.size
+    energy = np.abs(spectrum)
+    top = float(energy.max())
+    if 0.0 < top < math.inf:
+        energy /= top
+    total = float(np.square(energy, out=energy).sum())
+    return [float(energy[b // 2 : n - b // 2].sum()) / total if total > 0.0 else 0.0 for b in bands]
 
 
 def _kerr_rotation(phi: np.ndarray, peak: float, scratch: np.ndarray, rotation: np.ndarray) -> None:

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fiberlink as fl
 from conftest import centred_time
@@ -20,8 +20,9 @@ BETA2_DM80 = 102.0358559595995  # ps^2/km
 ALPHA_02 = 0.046051701859880924  # 1/km for 0.2 dB/km
 
 GRID64 = fl.SamplingGrid(10e9, 64, 32, 1550e-9)
-# An adaptive fiber on GRID64 runs its split steps over 64 * 12 samples (|f| < 60 GHz)
-BAND64 = GRID64.n_bits * 12
+# An adaptive fiber on GRID64 whose predicted band error is small runs its split
+# steps over 64 * 8 samples (|f| < 40 GHz)
+BAND64 = GRID64.n_bits * 8
 
 
 def gaussian(grid, t0=25e-12, peak_w=1.0):
@@ -37,13 +38,35 @@ def rms_width(field):
     return float(np.sqrt(((t - mu) ** 2 * w).sum()))
 
 
+def band_rule(field, fiber, options):
+    """The bins an adaptive fiber's trials run over: n_bits * 8 (|f| < 4x the bit rate)
+    or n_bits * 12 (6x), the first under n whose predicted band error gamma P_peak L_eff
+    sqrt(share of the input's spectral energy outside) is within its budget, else n."""
+    grid = field.grid
+    n = grid.n_samples
+    length_m = fiber.length_km * 1e3
+    alpha_si = fl.loss_db_to_alpha(fiber.loss_db_km) * 1e-3
+    l_eff = (1.0 - np.exp(-alpha_si * length_m)) / alpha_si if alpha_si else length_m
+    p_peak = np.max(np.abs(field.samples) ** 2)
+    energy = np.abs(np.fft.fft(field.samples)) ** 2
+    budgets = {
+        grid.n_bits * 8: fl.fiber.NARROW_BAND_BUDGET * options.local_error,
+        grid.n_bits * 12: fl.fiber.BAND_ERROR_CEILING,
+    }
+    for bins, budget in budgets.items():
+        share = np.sum(energy[bins // 2 : n - bins // 2]) / np.sum(energy)
+        if bins < n and fiber.gamma_per_w_km * 1e-3 * p_peak * l_eff * np.sqrt(share) <= budget:
+            return bins
+    return n
+
+
 def allocating_ssfm(field, fiber, options, band=None):
     """The split-step loops written with a fresh array for every operation. Adaptive
-    steps run over ``band`` bins (by default, as many as propagate_span uses)."""
+    steps run over ``band`` bins (by default, those of :func:`band_rule`)."""
     grid = field.grid
     n = grid.n_samples
     if band is None:
-        band = grid.n_bits * 12 if options.step_km is None and grid.samples_per_bit > 12 else n
+        band = band_rule(field, fiber, options) if options.step_km is None else n
     length_m = fiber.length_km * 1e3
     beta2_si = fl.d_to_beta2(fiber.dispersion_ps_nm_km, grid.center_wavelength) * 1e-27
     alpha_si = fl.loss_db_to_alpha(fiber.loss_db_km) * 1e-3
@@ -348,9 +371,10 @@ class TestLinearPropagation:
         np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
 
     def test_adaptive_band_is_exact_without_kerr(self, monkeypatch):
-        # white noise puts half its energy outside the band; with gamma = 0 the
-        # bins outside take exp(lin_rate L) exactly and the band's trials
-        # multiply up to it, so banded and full-band runs agree to round-off
+        # white noise puts 3/4 of its energy outside the band of |f| < 4x the bit
+        # rate, which gamma = 0 chooses; the bins outside take exp(lin_rate L)
+        # exactly and the band's trials multiply up to it, so banded and
+        # full-band runs agree to round-off
         rng = np.random.default_rng(3)
         n = GRID64.n_samples
         field = fl.OpticalField(0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)), GRID64)
@@ -376,29 +400,28 @@ class TestNonlinearPropagation:
         # Re<u_f, u_f - u_c> = |u_f - u_c|^2 / 2, and the extrapolation
         # u = u_f + (u_f - u_c) / 3 has |u|^2 = |u_f|^2 (1 + 4 delta^2 / 9). An
         # accepted trial has delta <= 2 tol, so T trials raise the energy by at
-        # most (1 + 16 tol^2 / 9)^T - 1: ~3e-5 for the 413-462 trials of 120 km at
-        # scale 0.03 that restart, against ~6.8e-6 seen, and 5.6e-6 for the 79 of
-        # one that stays on the band, against 5.2e-7; round-off is ~1e-13.
-        # The bins outside the band turn by a unit-modulus operator, and a
-        # restart's band trials only count in T. The energies are ~1e-11 J, so
-        # abs=0 keeps pytest.approx's default abs=1e-12 from hiding the bound.
+        # most (1 + 16 tol^2 / 9)^T - 1: ~2.8e-5 for the 388-392 trials of 120 km
+        # at scale 0.03, against ~6.9e-6 seen; round-off is ~1e-13. The
+        # energies are ~1e-11 J, so abs=0 keeps pytest.approx's default
+        # abs=1e-12 from hiding the bound.
         tol = fl.SsfmOptions().local_error
         with pytest.MonkeyPatch.context() as mp:
             ffts = count_ffts(mp)
             out = fl.propagate_fiber(field, fiber)
         # Held as its spectrum: one forward FFT in and one inverse out over all
-        # n samples, and the trials over the band, then over n if the fiber
-        # restarted.
+        # n samples, and the trials over all n too. The noise's predicted band
+        # error at 6x the bit rate is over BAND_ERROR_CEILING (1.7-2.1 at scale
+        # 0.03 over 120 km, 17.6 at 0.3 over 10 km), so it starts on the full grid.
         n = GRID64.n_samples
         assert ffts[0] == ("fft", n) and ffts[-1] == ("ifft", n)
         parts = trial_parts(ffts)
-        assert [size for size, _ in parts] in ([BAND64], [BAND64, n])
+        assert [size for size, _ in parts] == [n]
         trials = sum(len(part) for _, part in parts)
         bound = (1.0 + 16.0 * tol**2 / 9.0) ** trials - 1.0
         energy_in = np.sum(np.abs(field.samples) ** 2) * GRID64.dt
         energy_out = np.sum(np.abs(out.samples) ** 2) * GRID64.dt
         assert energy_out == pytest.approx(energy_in, rel=bound, abs=0)
-        return parts
+        return parts, field, out
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -407,23 +430,22 @@ class TestNonlinearPropagation:
 
     @pytest.mark.parametrize("seed", [0, 1, 513])
     def test_lossless_trials_follow_error_estimate(self, seed):
-        # h follows delta, so these take 462, 413 and 79 trials, every trial
-        # over the band and, after a restart, over the full grid counted. Seeds
-        # 0 and 1 spread past the band's middle by 2.2e-4 and 2.0e-4 and restart
-        # after 74 and 24 band trials; seed 513 grows by 4.5e-5 and stays on the
-        # band. h held on a 2^(1/3) lattice took 601-614 on the full grid, as
-        # where the lattice fell decided the count.
-        parts = self.assert_energy_conserved(seed, 0.03, 120.0)
-        assert [size for size, _ in parts] == [BAND64] + [GRID64.n_samples] * (seed != 513)
+        # h follows delta, so these take 388, 389 and 392 trials. h held on a
+        # 2^(1/3) lattice took 601-614, as where the lattice fell decided the
+        # count. Seed 513's spectrum spreads too little for the growth guard:
+        # on the 6x band alone it errs 0.49 against 0.05 km fixed steps, from
+        # the full grid 3.8e-4.
+        parts, field, out = self.assert_energy_conserved(seed, 0.03, 120.0)
         assert sum(len(trials) for _, trials in parts) <= 520
+        if seed == 513:
+            fiber = fl.FiberParams(120.0, 16.0, 0.0, 1.3)
+            fine = fl.propagate_fiber(field, fiber, fl.SsfmOptions(step_km=0.05)).samples
+            assert np.linalg.norm(out.samples - fine) / np.linalg.norm(fine) < 5e-3
 
     def test_energy_conserved_through_phase_rejected_trials(self):
         # at 1.7 W of peak power the first 5 km trial's coarse Kerr phase is 11 rad,
-        # over MAX_STEP_PHASE, so its split step is cut short. The field also
-        # spreads past the band's middle (by 4.3e-4 after 4 accepted trials), so the
-        # fiber restarts on all n samples.
-        parts = self.assert_energy_conserved(513, 0.3, 10.0)
-        assert [size for size, _ in parts] == [BAND64, GRID64.n_samples]
+        # over MAX_STEP_PHASE, so its split step is cut short
+        parts, _, _ = self.assert_energy_conserved(513, 0.3, 10.0)
         assert any(trial != "ifft fft " * 3 for _, trials in parts for trial in trials)
 
     @pytest.mark.parametrize("step_km", [0.1, None], ids=["fixed", "adaptive"])
@@ -533,10 +555,12 @@ class TestNonlinearPropagation:
             assert err < tol
 
     def test_broadening_field_restarts_on_full_grid(self, monkeypatch):
-        # An N = 2 Gaussian compresses: run over the band alone its error
-        # against fixed 1/64 km steps is 48%, and its energy share at |f| >=
-        # 3x the bit rate grows by 0.11. The guard sends it back to all n
-        # samples, where it takes the steps of a full-grid run.
+        # An N = 2 Gaussian compresses. Its input holds so little energy at
+        # |f| >= 4x the bit rate that its predicted band error there is 3.1e-9,
+        # but run over that band alone it errs 49% against fixed 1/64 km steps
+        # (48% over 6x), as its energy share at |f| >= 2x the bit rate grows by
+        # 0.29. The guard sends it back to all n samples, where it takes the
+        # steps of a full-grid run.
         pulse, fiber, _ = n2_gaussian(1.0)
         ffts = count_ffts(monkeypatch)
         out = fl.propagate_fiber(pulse, fiber)
@@ -545,19 +569,21 @@ class TestNonlinearPropagation:
         assert np.array_equal(out.samples, full_band)
 
     def test_quarter_power_gaussian_stays_in_band(self, monkeypatch):
-        # at 1/4 of the power the share grows by ~4e-6 and the band holds
+        # at 1/4 of the power the share at |f| >= 2x the bit rate grows by
+        # 4.9e-4 and the band holds at 1e-3, where it errs 3.3e-4. At 1e-4 the
+        # band alone would err 3.1e-4 and the share grows by 5.9e-4: it restarts.
         pulse, fiber, fine = n2_gaussian(0.25)
-        for tol in (1e-3, 1e-4):
+        for tol, sizes in ((1e-3, [BAND64]), (1e-4, [BAND64, GRID64.n_samples])):
             with pytest.MonkeyPatch.context() as mp:
                 ffts = count_ffts(mp)
                 adaptive = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(local_error=tol))
-            assert [size for size, _ in trial_parts(ffts)] == [BAND64]
+            assert [size for size, _ in trial_parts(ffts)] == sizes
             err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
             assert err < tol
 
     def test_six_tenths_power_gaussian_restarts(self, monkeypatch):
-        # at 0.6x the power the band alone errs 6.2e-3 and its share grows by
-        # 3.5e-3, so the fiber restarts and is held to its tolerance
+        # at 0.6x the power the band alone errs 9.2e-2 and its share grows by
+        # 4.6e-2, so the fiber restarts and is held to its tolerance
         pulse, fiber, fine = n2_gaussian(0.6)
         ffts = count_ffts(monkeypatch)
         adaptive = fl.propagate_fiber(pulse, fiber, fl.SsfmOptions(local_error=1e-4))
@@ -565,10 +591,11 @@ class TestNonlinearPropagation:
         err = np.linalg.norm(adaptive.samples - fine.samples) / np.linalg.norm(fine.samples)
         assert err < 1e-4
 
-    def test_white_noise_restarts_on_full_grid(self, monkeypatch):
-        # white noise holds 5/8 of its energy outside the band, where it stays
-        # linear: run over the band alone it errs 49% against fine fixed steps.
-        # Its share at |f| >= 3x the bit rate grows by 2.2e-4, past local_error.
+    def test_white_noise_starts_on_full_grid(self, monkeypatch):
+        # white noise holds 5/8 of its energy outside the band of 6x the bit
+        # rate, where it would stay linear: run over the band alone it errs 49%
+        # against fine fixed steps. Its predicted band error is 1.7, over
+        # BAND_ERROR_CEILING, so the fiber runs on all n samples from the start.
         rng = np.random.default_rng(0)
         n = GRID64.n_samples
         field = fl.OpticalField(0.03 * (rng.normal(size=n) + 1j * rng.normal(size=n)), GRID64)
@@ -576,7 +603,7 @@ class TestNonlinearPropagation:
         fine = fl.propagate_fiber(field, fiber, fl.SsfmOptions(step_km=0.05)).samples
         ffts = count_ffts(monkeypatch)
         out = fl.propagate_fiber(field, fiber).samples
-        assert [size for size, _ in trial_parts(ffts)] == [BAND64, n]
+        assert [size for size, _ in trial_parts(ffts)] == [n]
         assert np.linalg.norm(out - fine) / np.linalg.norm(fine) < 5e-3
 
     @staticmethod
@@ -587,7 +614,7 @@ class TestNonlinearPropagation:
         return fl.OpticalField(scale * (rng.normal(size=n) + 1j * rng.normal(size=n)), grid)
 
     def test_no_band_at_8_samples_per_bit(self, monkeypatch):
-        # a band of 12 samples per bit would be more than the whole grid
+        # a band of 8 samples per bit would be the whole grid
         field = self.noise_field(8, 0.05)
         n = field.grid.n_samples
         fiber = fl.FiberParams(10.0, 16.0, 0.2, 1.3)
@@ -599,18 +626,27 @@ class TestNonlinearPropagation:
     def test_band_at_16_samples_per_bit(self, monkeypatch):
         # 1,024 samples, of which the split steps run over 768: the band scales
         # by n / band = 4/3 and the field keeps its |A|^2. At this power the
-        # share at |f| >= 3x the bit rate grows by 9.2e-5 and the band holds
-        # (at 0.05 it grows by 3.0e-4 and the fiber restarts).
+        # predicted band error is 3.8e-2 over 4x the bit rate, over its budget,
+        # and 2.65e-2 over 6x, under BAND_ERROR_CEILING; the share at |f| >= 3x
+        # grows by 9.2e-5 and the band holds. At 0.05 the error over 6x is
+        # 0.165 and the fiber starts on all 1,024 samples.
         field = self.noise_field(16, 0.02)
         fiber = fl.FiberParams(10.0, 16.0, 0.2, 1.3)
         ffts = count_ffts(monkeypatch)
         out = fl.propagate_fiber(field, fiber)
         assert [size for size, _ in trial_parts(ffts)] == [64 * 12]
         assert np.array_equal(out.samples, allocating_ssfm(field, fiber, fl.SsfmOptions()))
+        ffts.clear()
+        fl.propagate_fiber(self.noise_field(16, 0.05), fiber)
+        assert [size for size, _ in trial_parts(ffts)] == [64 * 16]
 
     @pytest.mark.parametrize("step_km", [0.5, None], ids=["fixed", "adaptive"])
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    # adaptive steps over 4x the bit rate (a 0.0083 field on 1.8 km at gamma 0.6)
+    # and over 6x (0.0043 on 10 km at gamma 0.9), on either side of the budget
+    @example(seed=20)
+    @example(seed=3)
     def test_bit_identical_to_allocating_stepper(self, step_km, seed):
         rng = np.random.default_rng(seed)
         scale = 10 ** rng.uniform(-2.5, -1.0)
@@ -635,34 +671,66 @@ class TestNonlinearPropagation:
         # The default link at seed 42 has 4 fibers (24, 120, 120 and 24 km) at
         # adaptive steps. Each makes one forward FFT in and one inverse out over
         # all 32,768 samples, and each of its trials 3 of each when no split step
-        # is cut short by MAX_STEP_PHASE. The trials run over the 12,288 bins of
-        # |f| < 6x the bit rate, so their FFTs are counted by size: the band
-        # takes 36 trials, and no fiber restarts.
+        # is cut short by MAX_STEP_PHASE. The trials run over the 8,192 bins of
+        # |f| < 4x the bit rate, so their FFTs are counted by size: the band
+        # takes 35 trials (every seed of 0-31 does), and no fiber restarts.
         # Unlike the run time, the trial count does not drift with the host.
         ffts = count_ffts(monkeypatch)
         fl.run_link_full(fl.LinkConfig())
         assert collections.Counter(ffts) == {
-            ("fft", 32768): 4, ("ifft", 32768): 4, ("fft", 12288): 3 * 36, ("ifft", 12288): 3 * 36,
+            ("fft", 32768): 4, ("ifft", 32768): 4, ("fft", 8192): 3 * 35, ("ifft", 8192): 3 * 35,
         }
+
+    @pytest.mark.parametrize(
+        ("settings", "bins"),
+        [
+            ([], 8),
+            (["dcf.pre_length_km = 30", "dcf.post_length_km = 24", "sim.seed = 10"], 8),
+            (["dcf.pre_length_km = 35", "dcf.post_length_km = 35"], 8),
+            (["tx.power_dbm = 8"], 12),
+            (["tx.power_dbm = 12"], 12),
+        ],
+        ids=["default", "pair_30_24", "pair_35_35", "8dBm", "12dBm"],
+    )
+    def test_band_chosen_per_fiber(self, monkeypatch, settings, bins):
+        # The sizes of the FFTs inside each fiber's propagate_fiber call. At the
+        # default power the largest predicted band error over 4x the bit rate
+        # is 1.17e-3 over seeds 0-31 (the first SMF of the pair 30/24 at seed
+        # 10), at 8 dBm the smallest is 1.58e-3 (DCF-pre, seed 42), so every
+        # fiber runs at n_bits * 8 in the first three links and at n_bits * 12
+        # in the last two: this pins both edges of the budget's window at the
+        # default local_error.
+        sizes, propagate = [], fl.link.propagate_fiber
+
+        def recording(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                ffts = count_ffts(mp)
+                out = propagate(*args)
+            sizes.append((args[1].label, {size for _, size in ffts}))
+            return out
+
+        monkeypatch.setattr(fl.link, "propagate_fiber", recording)
+        config = fl.parse_config("\n".join(settings))
+        fl.run_link_full(config)
+        grid = config.grid()
+        n, band = grid.n_samples, grid.n_bits * bins
+        assert sizes == [(label, {n, band}) for label in ("DCF-pre", "SMF", "SMF", "DCF-post")]
 
     @pytest.mark.parametrize(("case", "bound"), [("default_smf", 3), ("restart", 5)])
     def test_closing_transform_runs_without_step_buffers(self, monkeypatch, case, bound):
         # The memory traced at an adaptive span's closing inverse FFT over all
         # n samples, above that at its start, in field sizes of 16 n bytes. The
-        # band loop's seven step buffers (~2.3 field sizes on the band of 3/8 n
+        # band loop's seven step buffers (~1.6 field sizes on the band of n / 4
         # bins, 6 on the full grid) are freed by then. Left are the input
         # spectrum, half-grid lin_rate and the outer bins' operator: ~2.0 on
-        # the default SMF. Seed 1 restarts after 24 band trials and ends on a
-        # step buffer besides the input spectrum: ~4.0. Holding the buffers
-        # read 4.3 and 9.1.
+        # the default SMF. The N = 2 Gaussian restarts after 4 band trials and
+        # ends on a step buffer besides the input spectrum: ~2.8.
         n = GRID64.n_samples
         if case == "default_smf":
             field = fl.transmit(fl.TxConfig(), GRID64, np.random.default_rng(42))[1]
             fiber = fl.LinkConfig().smf
         else:
-            rng = np.random.default_rng(1)
-            field = fl.OpticalField(0.03 * (rng.normal(size=n) + 1j * rng.normal(size=n)), GRID64)
-            fiber = fl.FiberParams(120.0, 16.0, 0.0, 1.3)
+            field, fiber, _ = n2_gaussian(1.0)
         ifft, traced = np.fft.ifft, []
 
         def recording(a, *args, **kwargs):

@@ -16,9 +16,9 @@ from conftest import ROOT, SMALL_LINK, small_link_config, subprocess_env
 from fiberlink import config, fiber, link, metrics, receiver, signals, transmitter
 
 # Minor page faults per FFT pair of a warm propagate_fiber call on a 32,768-sample
-# grid: fixed steps run their FFT pairs at 32,768 samples, adaptive ones at the
-# 12,288 of |f| < 6x the bit rate. The field is noise, so adaptive steps take
-# 38 trials over 120 km, not the few a CW takes.
+# grid. The field is noise, so adaptive steps take 156 trials over 120 km, not
+# the few a CW takes, and its predicted band error (0.47 at 6x the bit rate) is
+# over BAND_ERROR_CEILING, so they run at 32,768 samples like the fixed steps.
 FAULTS_PER_FFT_PAIR = """
 import resource
 import numpy as np
