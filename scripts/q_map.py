@@ -13,15 +13,21 @@ fixed 0.1 km steps over the whole grid. With ``--set``, the link differs from
 the default, so Q_ref comes from a 0.1 km fixed-step run of the same config
 instead (~5 s per seed).
 
+With ``--per-fiber``, each fiber of the chain also runs alone at each
+``--local-error`` value, the others at the config's own (2e-4 by default), and
+the min and max over the seeds of Q - Q(every fiber at the config's own) are
+printed per fiber position and label.
+
 Usage:
     python3 scripts/q_map.py [--local-error 1e-4,2e-4] [--seeds 0-31]
-                             [--set tx.power_dbm=8 --set amp.ase=true]
+                             [--set tx.power_dbm=8 --set amp.ase=true] [--per-fiber]
 """
 from __future__ import annotations
 
 import argparse
 import collections
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -42,9 +48,12 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_q(settings: list[str]) -> tuple[float, collections.Counter, list[tuple[str, str]]]:
+def run_q(
+    settings: list[str], fiber_tol: tuple[int, float] | None = None
+) -> tuple[float, collections.Counter, list[tuple[str, str]]]:
     """Q in dB of one run of the config ``settings``, its forward FFTs by size, and
-    each fiber's label and band, as ``("SMF", "8192")``."""
+    each fiber's label and band, as ``("SMF", "8192")``. ``fiber_tol = (i, tol)``
+    runs the chain's i-th fiber at local error ``tol`` instead of the config's."""
     sizes, bands = [], []
     forward, propagate = np.fft.fft, fl.link.propagate_fiber
 
@@ -52,9 +61,11 @@ def run_q(settings: list[str]) -> tuple[float, collections.Counter, list[tuple[s
         sizes.append(np.size(a))
         return forward(a, *args, **kwargs)
 
-    def recording(field, fiber, *args):
+    def recording(field, fiber, options):
         first = len(sizes)
-        out = propagate(field, fiber, *args)
+        if fiber_tol is not None and fiber_tol[0] == len(bands):
+            options = dataclasses.replace(options, local_error=fiber_tol[1])
+        out = propagate(field, fiber, options)
         trial_sizes = dict.fromkeys(sizes[first + 1 :])
         bands.append((fiber.label, ">".join(str(size) for size in trial_sizes)))
         return out
@@ -80,6 +91,8 @@ def main() -> int:
     parser.add_argument("--seeds", default="0-31", help="e.g. 0-31 or 0,5,9")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="a config setting for every run, oracle included")
+    parser.add_argument("--per-fiber", action="store_true",
+                        help="also run each fiber alone at each local error")
     args = parser.parse_args()
 
     seeds = parse_seeds(args.seeds)
@@ -88,6 +101,9 @@ def main() -> int:
         q_ref = {s: run_q([*settings, f"sim.seed = {s}", "sim.step_km = 0.1"])[0] for s in seeds}
     else:
         q_ref = reference_q(seeds)
+    if args.per_fiber:
+        own_tol = fl.parse_config("\n".join(settings)).sim.ssfm.local_error
+        q_own = {s: run_q([*settings, f"sim.seed = {s}"])[0] for s in seeds}
 
     print(f"seeds {args.seeds}, Q_ref at 0.1 km fixed steps"
           + (f", with {', '.join(args.set)}" if args.set else " from perfbench/reference.json"))
@@ -110,6 +126,13 @@ def main() -> int:
         print(f"{float(tol):>11.3g} {errors[worst]:>10.3e} {worst:>5} {mean:>10.3e}  {by_size}")
         by_fiber = ", ".join(f"{label} {'|'.join(b)}" for (_, label), b in bands.items())
         print(f"{'':>11} bands: {by_fiber}")
+        if not args.per_fiber:
+            continue
+        for i, label in bands:
+            runs = [run_q([*settings, f"sim.seed = {s}"], (i, float(tol)))[0] for s in seeds]
+            deltas = [q - q_own[s] for q, s in zip(runs, seeds)]
+            print(f"{'':>11} fiber {i} {label} alone: Q - Q(all at {own_tol:g}) "
+                  f"{min(deltas):+.3e} to {max(deltas):+.3e} dB")
     return 0
 
 

@@ -113,7 +113,7 @@ def _replace(obj: Any, updates: dict[str, Any]) -> Any:
 
 def parse_config(text: str) -> LinkConfig:
     """Parse config text into a fully defaulted, validated LinkConfig."""
-    settings: dict[str, tuple[int, dict[str, Any]]] = {}  # key -> (line, field updates)
+    settings: dict[str, tuple[int, str, Any]] = {}  # key -> (line, field path, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,21 +140,20 @@ def parse_config(text: str) -> LinkConfig:
             value = value * 10.0**power if power > 0 else value / 10.0**-power
             if not math.isfinite(value):
                 raise ConfigError(f"line {lineno}: key {key!r}: {value_text} overflows in SI units")
-        settings[key] = (lineno, {path: value})
+        settings[key] = (lineno, path, value)
 
     if "sim.local_error" in settings and "sim.step_km" in settings:
         lineno = max(settings["sim.step_km"][0], settings["sim.local_error"][0])
         raise ConfigError(f"line {lineno}: sim.step_km and sim.local_error are mutually exclusive")
 
-    updates = {path: v for _, fields in settings.values() for path, v in fields.items()}
     try:
-        return _replace(LinkConfig(), updates)
+        return _replace(LinkConfig(), {path: value for _, path, value in settings.values()})
     except ValueError as exc:
         message = str(exc)
     # Blame the first key whose value alone, on the defaults, breaks the same rule.
-    for key, (lineno, fields) in settings.items():
+    for key, (lineno, path, value) in settings.items():
         try:
-            _replace(LinkConfig(), fields)
+            _replace(LinkConfig(), {path: value})
         except ValueError as exc:
             if str(exc) == message:
                 raise ConfigError(f"line {lineno}: key {key!r}: {message}") from None

@@ -459,11 +459,7 @@ def _mark_level_estimate(power: np.ndarray) -> float:
     return float(np.mean(top))
 
 
-def amplify(
-    field: OpticalField,
-    amp: AmplifierParams,
-    rng: np.random.Generator | None = None,
-) -> OpticalField:
+def amplify(field: OpticalField, amp: AmplifierParams, rng: np.random.Generator) -> OpticalField:
     """Apply a lumped amplifier, optionally adding ASE noise.
 
     ASE is injected as circular complex Gaussian noise with per-sample power
@@ -481,17 +477,14 @@ def amplify(
             raise PropagationError(f"dark input: mark-level power {est:.6g} W, nothing to restore")
         g_lin = dbm_to_watts(amp.target_dbm) / est
     out = field.samples * np.sqrt(g_lin)
-    if amp.ase_enabled:
-        if rng is None:
-            raise ValueError("an rng is required when ASE is enabled")
-        if g_lin > 1.0:
-            nsp = 10.0 ** (amp.noise_figure_db / 10.0) / 2.0
-            nu = C_LIGHT / field.grid.center_wavelength
-            b_sim = field.grid.sample_rate
-            p_ase = (g_lin - 1.0) * nsp * PLANCK * nu * b_sim
-            sigma = np.sqrt(p_ase / 2.0)
-            noise = rng.normal(0.0, sigma, field.grid.n_samples) + 1j * rng.normal(
-                0.0, sigma, field.grid.n_samples
-            )
-            out = out + noise
+    if amp.ase_enabled and g_lin > 1.0:
+        nsp = 10.0 ** (amp.noise_figure_db / 10.0) / 2.0
+        nu = C_LIGHT / field.grid.center_wavelength
+        b_sim = field.grid.sample_rate
+        p_ase = (g_lin - 1.0) * nsp * PLANCK * nu * b_sim
+        sigma = np.sqrt(p_ase / 2.0)
+        noise = rng.normal(0.0, sigma, field.grid.n_samples) + 1j * rng.normal(
+            0.0, sigma, field.grid.n_samples
+        )
+        out = out + noise
     return OpticalField(out, field.grid)

@@ -100,7 +100,8 @@ class SimSettings:
     ssfm: SsfmOptions = field(default_factory=SsfmOptions)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", as_integer("seed", self.seed))
+        for name in ("seed", "skip_bits"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -137,7 +138,7 @@ class LinkConfig:
         pre, post = self.pre_length_km, self.post_length_km
         if not (0 <= pre < math.inf and 0 <= post < math.inf):
             raise ValueError(f"DCF lengths must satisfy 0 <= l < inf, got pre={pre}, post={post}")
-        if self.n_smf_spans < 1:
+        if as_integer("n_smf_spans", self.n_smf_spans) < 1:
             raise ValueError(f"n_smf_spans must be >= 1, got {self.n_smf_spans}")
         if self.sim.ssfm.step_km is not None:
             for fiber in self.elements()[::2]:  # every fiber; an amplifier follows each

@@ -21,11 +21,6 @@ ELECTRON_CHARGE = 1.602176634e-19  # C
 MAX_BESSEL_ORDER = 10  # highest Bessel filter order accepted
 
 
-def _check_bessel_order(name: str, order: int) -> None:
-    if not (1 <= as_integer(name, order) <= MAX_BESSEL_ORDER):
-        raise ValueError(f"{name} must be in 1..{MAX_BESSEL_ORDER}, got {order}")
-
-
 @dataclass(frozen=True, slots=True)
 class RxConfig:
     """Receiver settings (defaults: ideal 1 A/W diode, 4th-order 8 GHz Bessel)."""
@@ -41,37 +36,33 @@ class RxConfig:
             raise ValueError(f"responsivity must be positive, got {self.responsivity}")
         if self.thermal_noise_psd < 0 or not np.isfinite(self.thermal_noise_psd):
             raise ValueError(f"thermal_noise_psd must be >= 0, got {self.thermal_noise_psd}")
-        _check_bessel_order("bessel_order", self.bessel_order)
+        if not 1 <= as_integer("bessel_order", self.bessel_order) <= MAX_BESSEL_ORDER:
+            raise ValueError(
+                f"bessel_order must be in 1..{MAX_BESSEL_ORDER}, got {self.bessel_order}"
+            )
         if not (self.bessel_bandwidth > 0 and np.isfinite(self.bessel_bandwidth)):
             raise ValueError(f"bessel_bandwidth must be positive, got {self.bessel_bandwidth}")
 
 
 def photodetect(
-    field: OpticalField,
-    config: RxConfig,
-    rng: np.random.Generator | None = None,
+    field: OpticalField, config: RxConfig, rng: np.random.Generator
 ) -> ElectricalWaveform:
     """Square-law detection with thermal and (optional) shot noise.
 
     Thermal noise is white with one-sided current PSD ``thermal_noise_psd``
     over the simulation bandwidth ``1/dt``; shot noise per sample has variance
-    ``2 q R |E|^2 / dt``. ``rng`` is required when either noise term is on.
+    ``2 q R |E|^2 / dt``. ``rng`` draws both noise terms.
     """
     grid = field.grid
     p_opt = np.abs(field.samples) ** 2
     current = config.responsivity * p_opt
     b_sim = grid.sample_rate
-    noisy = config.thermal_noise_psd > 0 or config.shot_noise
-    if noisy:
-        if rng is None:
-            raise ValueError("an rng is required when receiver noise is on")
-        if config.thermal_noise_psd > 0:
-            current = current + rng.normal(
-                0.0, config.thermal_noise_psd * np.sqrt(b_sim), grid.n_samples
-            )
-        if config.shot_noise:
-            var = 2.0 * ELECTRON_CHARGE * config.responsivity * p_opt * b_sim
-            current = current + rng.normal(0.0, 1.0, grid.n_samples) * np.sqrt(var)
+    if config.thermal_noise_psd > 0:
+        sigma = config.thermal_noise_psd * np.sqrt(b_sim)
+        current = current + rng.normal(0.0, sigma, grid.n_samples)
+    if config.shot_noise:
+        var = 2.0 * ELECTRON_CHARGE * config.responsivity * p_opt * b_sim
+        current = current + rng.normal(0.0, 1.0, grid.n_samples) * np.sqrt(var)
     return ElectricalWaveform(current, grid)
 
 
@@ -99,32 +90,25 @@ def _bessel_response(order: int, f_norm: np.ndarray) -> np.ndarray:
     return a[0] / np.polyval([c * hi**k for k, c in enumerate(a)][::-1], 1j * f_norm)
 
 
-def bessel_lowpass(wave: ElectricalWaveform, order: int, bandwidth: float) -> ElectricalWaveform:
+def bessel_lowpass(wave: ElectricalWaveform, rx: RxConfig) -> ElectricalWaveform:
     """Zero-aliasing circular Bessel lowpass via the real FFT.
 
-    The analog prototype is magnitude-normalized so |H| is exactly 1 at DC
-    and 1/sqrt(2) at ``bandwidth``. Requires ``bandwidth`` below the grid
-    Nyquist frequency.
+    The analog prototype of order ``rx.bessel_order`` is magnitude-normalized
+    so |H| is exactly 1 at DC and 1/sqrt(2) at ``rx.bessel_bandwidth``, which
+    must lie below the grid Nyquist frequency.
     """
-    _check_bessel_order("order", order)
-    grid = wave.grid
+    grid, bandwidth = wave.grid, rx.bessel_bandwidth
     nyquist = 0.5 * grid.sample_rate
-    if not (0 < bandwidth < nyquist):
+    if not bandwidth < nyquist:
         raise ValueError(
             f"bandwidth must lie in (0, {nyquist:.6g}) Hz for this grid, got {bandwidth}"
         )
     f = np.fft.rfftfreq(grid.n_samples, grid.dt)
-    h = _bessel_response(order, f / bandwidth)
+    h = _bessel_response(rx.bessel_order, f / bandwidth)
     filtered = np.fft.irfft(np.fft.rfft(wave.samples) * h, grid.n_samples)
     return ElectricalWaveform(filtered, grid)
 
 
-def receive(
-    field: OpticalField,
-    config: RxConfig,
-    rng: np.random.Generator | None = None,
-) -> ElectricalWaveform:
+def receive(field: OpticalField, config: RxConfig, rng: np.random.Generator) -> ElectricalWaveform:
     """Photodetect then filter; the composition of the two receiver stages."""
-    return bessel_lowpass(
-        photodetect(field, config, rng), config.bessel_order, config.bessel_bandwidth
-    )
+    return bessel_lowpass(photodetect(field, config, rng), config)

@@ -15,6 +15,7 @@ from .signals import (
     ElectricalWaveform,
     OpticalField,
     SamplingGrid,
+    as_integer,
     dbm_to_watts,
     finite_db,
 )
@@ -85,7 +86,7 @@ class TxConfig:
             raise ValueError(f"launch_power_dbm must be finite in W, got {self.launch_power_dbm}")
         if self.linewidth_hz < 0 or not np.isfinite(self.linewidth_hz):
             raise ValueError(f"linewidth_hz must be >= 0, got {self.linewidth_hz}")
-        if self.prbs_order not in PRBS_TAPS:
+        if as_integer("prbs_order", self.prbs_order) not in PRBS_TAPS:
             raise ValueError(
                 f"prbs_order must be one of {sorted(PRBS_TAPS)}, got {self.prbs_order}"
             )
@@ -125,15 +126,13 @@ def prbs_generate(order: int, seed: int, n_bits: int) -> BitSequence:
     return BitSequence(bits=out)
 
 
-def nrz_drive(bits: BitSequence, grid: SamplingGrid, rise_time: float) -> ElectricalWaveform:
+def nrz_drive(bits: BitSequence, grid: SamplingGrid, tx: TxConfig) -> ElectricalWaveform:
     """Trapezoidal NRZ drive in [0, 1] for one bit per grid slot.
 
-    Each transition is a linear ramp of width ``rise_time`` UI centered on
+    Each transition is a linear ramp of width ``tx.rise_time`` UI centered on
     the bit boundary; the pattern is circular, so the edge into bit 0 comes
     from the last bit.
     """
-    if not (0.0 < rise_time < 0.5):
-        raise ValueError(f"rise_time must lie in (0, 0.5), got {rise_time}")
     if bits.bits.size != grid.n_bits:
         raise ValueError(f"got {bits.bits.size} bits for a grid of {grid.n_bits} bit slots")
     b = bits.bits.astype(np.float64)
@@ -143,75 +142,56 @@ def nrz_drive(bits: BitSequence, grid: SamplingGrid, rise_time: float) -> Electr
     prev = np.roll(b, 1)[:, None]
     nxt = np.roll(b, -1)[:, None]
     frac = np.arange(spb) / spb  # position within the bit, [0, 1)
-    half = rise_time / 2.0
+    half = tx.rise_time / 2.0
     v = np.repeat(cur, spb, axis=1)
     lead = frac < half  # still finishing the transition from the previous bit
-    v[:, lead] = prev + (cur - prev) * (frac[lead] + half) / rise_time
+    v[:, lead] = prev + (cur - prev) * (frac[lead] + half) / tx.rise_time
     tail = frac >= 1.0 - half  # starting the transition into the next bit
-    v[:, tail] = cur + (nxt - cur) * (frac[tail] - (1.0 - half)) / rise_time
+    v[:, tail] = cur + (nxt - cur) * (frac[tail] - (1.0 - half)) / tx.rise_time
     return ElectricalWaveform(v.ravel(), grid)
 
 
-def cw_laser(
-    grid: SamplingGrid,
-    power_watts: float,
-    linewidth_hz: float,
-    rng: np.random.Generator | None = None,
-) -> OpticalField:
-    """Continuous-wave laser with Lorentzian phase noise.
+def cw_laser(grid: SamplingGrid, tx: TxConfig, rng: np.random.Generator) -> OpticalField:
+    """Unit-power continuous-wave laser with Lorentzian phase noise.
 
     Phase noise is a Wiener process whose increments have variance
-    ``2*pi*linewidth*dt``, giving a Lorentzian line of FWHM ``linewidth_hz``.
-    ``linewidth_hz = 0`` yields a perfectly coherent constant field.
+    ``2*pi*linewidth*dt``, giving a Lorentzian line of FWHM ``tx.linewidth_hz``.
+    ``linewidth_hz = 0`` yields a perfectly coherent constant field and draws nothing.
     """
-    if power_watts < 0:
-        raise ValueError(f"power_watts must be >= 0, got {power_watts}")
-    if linewidth_hz < 0:
-        raise ValueError(f"linewidth_hz must be >= 0, got {linewidth_hz}")
     phase = np.zeros(grid.n_samples)
-    if linewidth_hz > 0.0:
-        if rng is None:
-            raise ValueError("an rng is required when linewidth_hz > 0")
-        sigma = np.sqrt(2.0 * np.pi * linewidth_hz * grid.dt)
+    if tx.linewidth_hz > 0.0:
+        sigma = np.sqrt(2.0 * np.pi * tx.linewidth_hz * grid.dt)
         increments = rng.normal(0.0, sigma, grid.n_samples - 1)
         phase[1:] = np.cumsum(increments)
-    field = np.sqrt(power_watts) * np.exp(1j * phase)
-    return OpticalField(field, grid)
+    return OpticalField(np.exp(1j * phase), grid)
 
 
-def mz_modulate(
-    field: OpticalField, drive: ElectricalWaveform, extinction_db: float
-) -> OpticalField:
+def mz_modulate(field: OpticalField, drive: ElectricalWaveform, tx: TxConfig) -> OpticalField:
     """Chirp-free Mach-Zehnder amplitude modulator with finite extinction.
 
     The drive is mapped onto the sin^2 transfer curve so that drive = 1 sits
-    at full transmission and drive = 0 at the configured extinction ratio
-    below it. Pure amplitude modulation: the optical phase is untouched.
+    at full transmission and drive = 0 at ``tx.extinction_db`` below it.
+    Pure amplitude modulation: the optical phase is untouched.
     """
     if field.grid is not drive.grid and field.grid != drive.grid:
         raise ValueError("field and drive must share the same sampling grid")
-    if not (extinction_db > 0):
-        raise ValueError(f"extinction_db must be positive, got {extinction_db}")
     v = drive.samples
     if np.any(v < 0.0) or np.any(v > 1.0):
         raise ValueError("drive samples must lie in [0, 1]")
     # The amplitude floor 10^(-ER/20) = 1/sqrt(ER as a power ratio) cannot overflow.
-    v_min = (2.0 / np.pi) * np.arcsin(10.0 ** (-extinction_db / 20.0))
+    v_min = (2.0 / np.pi) * np.arcsin(10.0 ** (-tx.extinction_db / 20.0))
     v_eff = v_min + (1.0 - v_min) * v
     amp = np.sin(0.5 * np.pi * v_eff)
     return OpticalField(field.samples * amp, field.grid)
 
 
 def transmit(
-    config: TxConfig,
-    grid: SamplingGrid,
-    rng: np.random.Generator | None = None,
+    config: TxConfig, grid: SamplingGrid, rng: np.random.Generator
 ) -> tuple[BitSequence, OpticalField]:
     """Run the full transmitter chain; returns the data bits and the field.
 
     The output is scaled so the mean power over the flat centers of the mark
-    bits equals ``launch_power_dbm`` exactly. ``rng`` drives the laser phase
-    noise and is required when ``linewidth_hz > 0``.
+    bits equals ``launch_power_dbm`` exactly. ``rng`` drives the laser phase noise.
     """
     if grid.bit_rate != config.bit_rate:
         raise ValueError(
@@ -223,9 +203,9 @@ def transmit(
             f"config wavelength {config.wavelength}"
         )
     bits = prbs_generate(config.prbs_order, DEFAULT_LFSR_SEED, grid.n_bits)
-    drive = nrz_drive(bits, grid, config.rise_time)
-    laser = cw_laser(grid, 1.0, config.linewidth_hz, rng)
-    modulated = mz_modulate(laser, drive, config.extinction_db)
+    drive = nrz_drive(bits, grid, config)
+    laser = cw_laser(grid, config, rng)
+    modulated = mz_modulate(laser, drive, config)
     spb = grid.samples_per_bit
     centers = modulated.samples.reshape(grid.n_bits, spb)[bits.bits == 1, spb // 4 : 3 * spb // 4]
     if centers.size == 0:

@@ -222,7 +222,7 @@ def test_criterion_5_nlse_invariants():
 def test_criterion_6_receiver_checks():
     # DC gain of the Bessel stage
     flat = fl.ElectricalWaveform(np.ones(GRID64.n_samples), GRID64)
-    out = fl.bessel_lowpass(flat, order=4, bandwidth=8e9)
+    out = fl.bessel_lowpass(flat, fl.RxConfig(bessel_order=4, bessel_bandwidth=8e9))
     dc_err = float(np.max(np.abs(out.samples - 1.0)))
     assert dc_err < 1e-10, f"DC gain error {dc_err}"
 
@@ -231,7 +231,7 @@ def test_criterion_6_receiver_checks():
     f3db = k / (GRID64.n_samples * GRID64.dt)
     t = np.arange(GRID64.n_samples) * GRID64.dt
     tone = fl.ElectricalWaveform(np.cos(2 * np.pi * f3db * t), GRID64)
-    filtered = fl.bessel_lowpass(tone, order=4, bandwidth=f3db)
+    filtered = fl.bessel_lowpass(tone, fl.RxConfig(bessel_order=4, bessel_bandwidth=f3db))
     power_ratio = float(np.mean(filtered.samples**2) / np.mean(tone.samples**2))
     assert power_ratio == pytest.approx(0.5, rel=0.01), (
         f"|H|^2 at the bandwidth is {power_ratio}, not 0.5 within 1%"

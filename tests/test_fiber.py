@@ -809,25 +809,26 @@ class TestNonlinearPropagation:
 class TestAmplify:
     def test_fixed_zero_db_identity(self):
         pulse = gaussian(GRID64)
-        out = fl.amplify(pulse, fl.AmplifierParams(gain_db=0.0))
+        out = fl.amplify(pulse, fl.AmplifierParams(gain_db=0.0), np.random.default_rng(0))
         np.testing.assert_allclose(out.samples, pulse.samples, rtol=1e-14)
 
     def test_fixed_gain_power(self):
         pulse = gaussian(GRID64)
-        out = fl.amplify(pulse, fl.AmplifierParams(gain_db=24.0))
+        out = fl.amplify(pulse, fl.AmplifierParams(gain_db=24.0), np.random.default_rng(0))
         ratio = np.mean(np.abs(out.samples) ** 2) / np.mean(np.abs(pulse.samples) ** 2)
         assert ratio == pytest.approx(10 ** 2.4, rel=1e-12)
 
     def test_restore_constant_field_exact(self):
         field = fl.OpticalField(np.full(GRID64.n_samples, np.sqrt(4e-6), dtype=complex), GRID64)
-        out = fl.amplify(field, fl.AmplifierParams(target_dbm=0.0))
+        out = fl.amplify(field, fl.AmplifierParams(target_dbm=0.0), np.random.default_rng(0))
         np.testing.assert_allclose(np.abs(out.samples) ** 2, 1e-3, rtol=1e-12)
 
     def test_restore_after_lossy_span(self):
-        bits, field = fl.transmit(fl.TxConfig(linewidth_hz=0.0), GRID64)
+        bits, field = fl.transmit(fl.TxConfig(linewidth_hz=0.0), GRID64, np.random.default_rng(0))
         lossy = fl.FiberParams(120.0, 0.0, 0.2, 0.0)
         attenuated = fl.propagate_fiber(field, lossy)
-        restored = fl.amplify(attenuated, fl.AmplifierParams(target_dbm=0.0))
+        amp = fl.AmplifierParams(target_dbm=0.0)
+        restored = fl.amplify(attenuated, amp, np.random.default_rng(0))
         spb = GRID64.samples_per_bit
         power = np.abs(restored.samples.reshape(64, spb)) ** 2
         marks = power[bits.bits == 1, spb // 4 : (3 * spb) // 4]
@@ -836,12 +837,12 @@ class TestAmplify:
     def test_restore_dark_input_raises(self):
         field = fl.OpticalField(np.zeros(GRID64.n_samples, dtype=complex), GRID64)
         with pytest.raises(fl.PropagationError, match="dark input"):
-            fl.amplify(field, fl.AmplifierParams(target_dbm=0.0))
+            fl.amplify(field, fl.AmplifierParams(target_dbm=0.0), np.random.default_rng(0))
 
     def test_restore_unresolved_target_rejected(self):
         field = gaussian(GRID64)
         with pytest.raises(ValueError, match="target"):
-            fl.amplify(field, fl.AmplifierParams(target_dbm=None))
+            fl.amplify(field, fl.AmplifierParams(target_dbm=None), np.random.default_rng(0))
 
     def test_ase_noise_power(self):
         p_in = 1e-5
@@ -861,12 +862,6 @@ class TestAmplify:
         amp = fl.AmplifierParams(gain_db=0.0, ase_enabled=True)
         out = fl.amplify(field, amp, np.random.default_rng(3))
         np.testing.assert_allclose(out.samples, field.samples, rtol=1e-14)
-
-    def test_ase_requires_rng(self):
-        field = gaussian(GRID64)
-        amp = fl.AmplifierParams(gain_db=10.0, ase_enabled=True)
-        with pytest.raises(ValueError, match="rng"):
-            fl.amplify(field, amp)
 
     def test_ase_deterministic_for_seed(self):
         field = gaussian(GRID64)

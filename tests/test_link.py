@@ -132,11 +132,26 @@ class TestLinkConfig:
         )
         assert cfg.elements()[1].target_dbm == -2.0
 
-    @pytest.mark.parametrize("seed", [1.5, True])
-    def test_rejects_non_integer_seed(self, seed):
-        # SeedSequence would raise TypeError at run time instead
-        with pytest.raises(TypeError, match="seed must be an integer"):
-            fl.LinkConfig(sim=fl.SimSettings(seed=seed))
+    @pytest.mark.parametrize(
+        ("owner", "name", "value"),
+        [
+            (fl.SimSettings, "seed", 1.5),
+            (fl.SimSettings, "seed", True),
+            (fl.LinkConfig, "n_smf_spans", 2.0),
+            (fl.LinkConfig, "n_smf_spans", True),
+            (fl.SimSettings, "skip_bits", True),
+            (fl.SimSettings, "skip_bits", 8.0),
+            (fl.TxConfig, "prbs_order", 7.0),
+            (fl.TxConfig, "prbs_order", True),
+        ],
+        ids=["1.5", "True", "n_smf_spans-2.0", "n_smf_spans-True", "skip_bits-True",
+             "skip_bits-8.0", "prbs_order-7.0", "prbs_order-True"],
+    )
+    def test_rejects_non_integer_seed(self, owner, name, value):
+        # At run time SeedSequence, list repetition, slicing and the LFSR's shifts
+        # would raise TypeError instead, or take True as 1
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            owner(**{name: value})
 
     def test_rejects_dcf_length(self):
         dcf = dataclasses.replace(fl.LinkConfig().dcf, length_km=30.0)

@@ -105,7 +105,7 @@ class TestFoldEye:
 
     def test_alternating_trapezoid_crossings_near_boundaries(self):
         bits = fl.BitSequence(np.tile([0, 1], 32).astype(np.uint8))
-        drive = fl.nrz_drive(bits, GRID, 0.25)
+        drive = fl.nrz_drive(bits, GRID, fl.TxConfig(rise_time=0.25))
         eye = fl.fold_eye(drive, skip_bits=8)
         assert 0.4 < eye.threshold < 0.6
         # one transition per internal bit boundary of the kept region
@@ -140,7 +140,7 @@ class TestEstimateQ:
 
     def test_clean_waveform_caps_q(self):
         bits = fl.prbs_generate(7, 1, 64)
-        drive = fl.nrz_drive(bits, GRID, 0.25)
+        drive = fl.nrz_drive(bits, GRID, fl.TxConfig(rise_time=0.25))
         q = fl.estimate_q(drive, bits, 8)
         assert q.q_linear == Q_CAP
         assert q.ber == BER_FLOOR
@@ -169,7 +169,8 @@ class TestEstimateQ:
         grid = fl.SamplingGrid(10e9, 1024, 8, 1550e-9)
         bits = fl.prbs_generate(9, 1, 1024)
         noise = np.random.default_rng(3).normal(0.0, 0.1, grid.n_samples)
-        wave = fl.ElectricalWaveform(fl.nrz_drive(bits, grid, 0.25).samples + noise, grid)
+        drive = fl.nrz_drive(bits, grid, fl.TxConfig(rise_time=0.25))
+        wave = fl.ElectricalWaveform(drive.samples + noise, grid)
         q = fl.estimate_q(wave, bits, 8)
         column = q.eye.traces[:, q.decision_phase]
         ones = bits.bits[8:] == 1
@@ -211,7 +212,7 @@ class TestEstimateQ:
         # identical rise/fall transitions leave only the sub-sample crossing
         # asymmetry from the cluster threshold, orders below one UI
         bits = fl.BitSequence(np.tile([0, 1], 32).astype(np.uint8))
-        drive = fl.nrz_drive(bits, GRID, 0.25)
+        drive = fl.nrz_drive(bits, GRID, fl.TxConfig(rise_time=0.25))
         q = fl.estimate_q(drive, bits, 8)
         assert q.jitter_ns < 1e-3
 

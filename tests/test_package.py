@@ -15,10 +15,12 @@ import fiberlink as fl
 from conftest import ROOT, SMALL_LINK, small_link_config, subprocess_env
 from fiberlink import config, fiber, link, metrics, receiver, signals, transmitter
 
-# Minor page faults per FFT pair of a warm propagate_fiber call on a 32,768-sample
-# grid. The field is noise, so adaptive steps take 156 trials over 120 km, not
-# the few a CW takes, and its predicted band error (0.47 at 6x the bit rate) is
-# over BAND_ERROR_CEILING, so they run at 32,768 samples like the fixed steps.
+# Minor page faults per FFT pair of warm propagate_fiber calls on a 32,768-sample
+# grid. The noise field takes 156 adaptive trials over 120 km, not the few a CW
+# takes, and its predicted band error (0.47 at 6x the bit rate) is over
+# BAND_ERROR_CEILING, so they run at 32,768 samples like the fixed steps. The
+# transmitted NRZ field runs 30 of its 31 FFT pairs per call on the 8,192-sample
+# band, so its calls repeat to reach the same floor of pairs.
 FAULTS_PER_FFT_PAIR = """
 import resource
 import numpy as np
@@ -30,16 +32,17 @@ np.fft.fft = counted_fft
 import fiberlink as fl
 grid = fl.SamplingGrid(10e9, 1024, 32, 1550e-9)
 n, rng = grid.n_samples, np.random.default_rng(0)
-field = fl.OpticalField(0.03 * (rng.normal(size=n) + 1j * rng.normal(size=n)), grid)
-fiber = fl.FiberParams({length_km}, 17.0, 0.2, 1.3)
-options = fl.SsfmOptions(step_km={step_km})
+field = {field}
+fiber, options = {fiber}, fl.SsfmOptions(step_km={step_km})
 fl.propagate_fiber(field, fiber, options)
 pairs.clear()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-fl.propagate_fiber(field, fiber, options)
+for _ in range({calls}):
+    fl.propagate_fiber(field, fiber, options)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print(len(pairs), (after - before) / len(pairs))
 """
+NOISE = "fl.OpticalField(0.03 * (rng.normal(size=n) + 1j * rng.normal(size=n)), grid)"
 
 # One CLI command in a new interpreter that imports numpy and scipy first, as
 # perfbench's child process does. It prints the OpenSSL modules the command's
@@ -132,12 +135,20 @@ def test_rng_use_with_numpy_random_loaded_keeps_secrets():
 @pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc", reason="the FFT scratch faults are glibc's mmap threshold"
 )
-@pytest.mark.parametrize(("step_km", "length_km"), [(0.1, 10.0), (None, 120.0)], ids=["fixed", "adaptive"])
-def test_split_steps_do_not_page_fault(step_km, length_km):
-    code = FAULTS_PER_FFT_PAIR.format(step_km=step_km, length_km=length_km)
+@pytest.mark.parametrize(
+    ("field", "fiber", "step_km", "calls", "bound"),
+    [
+        (NOISE, "fl.FiberParams(10.0, 17.0, 0.2, 1.3)", 0.1, 1, 8),
+        (NOISE, "fl.FiberParams(120.0, 17.0, 0.2, 1.3)", None, 1, 8),
+        ("fl.transmit(fl.TxConfig(), grid, rng)[1]", "fl.LinkConfig().smf", None, 4, 1),
+    ],
+    ids=["fixed", "adaptive", "band"],
+)
+def test_split_steps_do_not_page_fault(field, fiber, step_km, calls, bound):
+    code = FAULTS_PER_FFT_PAIR.format(field=field, fiber=fiber, step_km=step_km, calls=calls)
     pairs, faults_per_pair = fresh_process(code)
     assert int(pairs) >= 100
-    assert float(faults_per_pair) < 8, f"{faults_per_pair} minor page faults per FFT pair"
+    assert float(faults_per_pair) < bound, f"{faults_per_pair} minor page faults per FFT pair"
 
 
 def test_every_import_is_used_or_exported():

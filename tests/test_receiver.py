@@ -10,6 +10,7 @@ from fiberlink.receiver import ELECTRON_CHARGE, MAX_BESSEL_ORDER, _bessel_respon
 
 GRID = fl.SamplingGrid(10e9, 64, 32, 1550e-9)
 NOISELESS = fl.RxConfig(thermal_noise_psd=0.0, shot_noise=False)
+BESSEL_4_8GHZ = fl.RxConfig(bessel_order=4, bessel_bandwidth=8e9)
 
 
 def constant_field(power_w, grid=GRID):
@@ -19,17 +20,17 @@ def constant_field(power_w, grid=GRID):
 class TestPhotodetect:
     def test_noiseless_square_law(self):
         field = constant_field(2e-3)
-        out = fl.photodetect(field, NOISELESS)
+        out = fl.photodetect(field, NOISELESS, np.random.default_rng(0))
         np.testing.assert_allclose(out.samples, 2e-3, rtol=1e-14)
 
     def test_responsivity_scaling(self):
         field = constant_field(1e-3)
         cfg = fl.RxConfig(responsivity=0.8, thermal_noise_psd=0.0, shot_noise=False)
-        out = fl.photodetect(field, cfg)
+        out = fl.photodetect(field, cfg, np.random.default_rng(0))
         np.testing.assert_allclose(out.samples, 0.8e-3, rtol=1e-14)
 
     def test_zero_field_noiseless(self):
-        out = fl.photodetect(constant_field(0.0), NOISELESS)
+        out = fl.photodetect(constant_field(0.0), NOISELESS, np.random.default_rng(0))
         np.testing.assert_array_equal(out.samples, 0.0)
 
     def test_thermal_noise_std(self):
@@ -54,10 +55,6 @@ class TestPhotodetect:
         a = fl.photodetect(field, cfg, np.random.default_rng(3))
         b = fl.photodetect(field, cfg, np.random.default_rng(3))
         np.testing.assert_array_equal(a.samples, b.samples)
-
-    def test_noise_requires_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            fl.photodetect(constant_field(1e-3), fl.RxConfig())
 
 
 class TestBesselLowpass:
@@ -95,7 +92,7 @@ class TestBesselLowpass:
         grid = fl.SamplingGrid(10e9, 64, 128, 1550e-9)
         sq = np.zeros(grid.n_samples)
         sq[grid.n_samples // 4 : 3 * grid.n_samples // 4] = 1.0
-        out = fl.bessel_lowpass(fl.ElectricalWaveform(sq, grid), 4, 8e9)
+        out = fl.bessel_lowpass(fl.ElectricalWaveform(sq, grid), BESSEL_4_8GHZ)
         overshoot_fft = float(out.samples.max()) - 1.0
         assert overshoot_fft < 0.01
         # the two routes agree on the overshoot
@@ -103,7 +100,7 @@ class TestBesselLowpass:
 
     def test_preserves_dc_level(self):
         wave = fl.ElectricalWaveform(np.full(GRID.n_samples, 3.3e-3), GRID)
-        out = fl.bessel_lowpass(wave, 4, 8e9)
+        out = fl.bessel_lowpass(wave, BESSEL_4_8GHZ)
         np.testing.assert_allclose(out.samples, 3.3e-3, rtol=1e-9)
 
     @settings(max_examples=20, deadline=None)
@@ -116,25 +113,25 @@ class TestBesselLowpass:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=GRID.n_samples)
         y = rng.normal(size=GRID.n_samples)
-        fx = fl.bessel_lowpass(fl.ElectricalWaveform(x, GRID), 4, 8e9).samples
-        fy = fl.bessel_lowpass(fl.ElectricalWaveform(y, GRID), 4, 8e9).samples
-        fxy = fl.bessel_lowpass(fl.ElectricalWaveform(a * x + b * y, GRID), 4, 8e9).samples
+        fx = fl.bessel_lowpass(fl.ElectricalWaveform(x, GRID), BESSEL_4_8GHZ).samples
+        fy = fl.bessel_lowpass(fl.ElectricalWaveform(y, GRID), BESSEL_4_8GHZ).samples
+        fxy = fl.bessel_lowpass(fl.ElectricalWaveform(a * x + b * y, GRID), BESSEL_4_8GHZ).samples
         np.testing.assert_allclose(fxy, a * fx + b * fy, atol=1e-9)
 
     def test_rejects_bandwidth_at_or_above_nyquist(self):
         wave = fl.ElectricalWaveform(np.zeros(GRID.n_samples), GRID)
         nyq = 0.5 * GRID.sample_rate
         with pytest.raises(ValueError, match="bandwidth"):
-            fl.bessel_lowpass(wave, 4, nyq)
+            fl.bessel_lowpass(wave, fl.RxConfig(bessel_bandwidth=nyq))
         with pytest.raises(ValueError, match="bandwidth"):
-            fl.bessel_lowpass(wave, 4, 2 * nyq)
+            fl.bessel_lowpass(wave, fl.RxConfig(bessel_bandwidth=2 * nyq))
 
     def test_rejects_bad_order(self):
         wave = fl.ElectricalWaveform(np.zeros(GRID.n_samples), GRID)
         with pytest.raises(ValueError, match="order"):
-            fl.bessel_lowpass(wave, 0, 8e9)
+            fl.bessel_lowpass(wave, fl.RxConfig(bessel_order=0))
         with pytest.raises(ValueError, match="order"):
-            fl.bessel_lowpass(wave, MAX_BESSEL_ORDER + 1, 8e9)
+            fl.bessel_lowpass(wave, fl.RxConfig(bessel_order=MAX_BESSEL_ORDER + 1))
 
 
 class TestReceive:
@@ -148,15 +145,11 @@ class TestReceive:
         _, field = fl.transmit(fl.TxConfig(), GRID, np.random.default_rng(0))
         cfg = fl.RxConfig()
         direct = fl.receive(field, cfg, np.random.default_rng(77))
-        staged = fl.bessel_lowpass(
-            fl.photodetect(field, cfg, np.random.default_rng(77)),
-            cfg.bessel_order,
-            cfg.bessel_bandwidth,
-        )
+        staged = fl.bessel_lowpass(fl.photodetect(field, cfg, np.random.default_rng(77)), cfg)
         np.testing.assert_array_equal(direct.samples, staged.samples)
 
     def test_noiseless_constant_passthrough(self):
-        out = fl.receive(constant_field(1e-3), NOISELESS)
+        out = fl.receive(constant_field(1e-3), NOISELESS, np.random.default_rng(0))
         np.testing.assert_allclose(out.samples, 1e-3, rtol=1e-9)
 
     def test_back_to_back_regression(self):

@@ -17,8 +17,13 @@ from conftest import ROOT, subprocess_env
         ("compensation_sweep.py", ["--quick"], "Q dB"),
         ("dispersion_map.py", [], "position_km,accumulated_ps_nm"),
         ("q_map.py", ["--local-error", "2e-4", "--seeds", "0-1"], "4 at 32768, 105 at 8192"),
+        (
+            "q_map.py",
+            ["--local-error", "2.5e-4", "--seeds", "0-1", "--per-fiber"],
+            "fiber 3 DCF-post alone: Q - Q(all at 0.0002) -1.782e-02 to -6.678e-03 dB",
+        ),
     ],
-    ids=["compensation_sweep", "dispersion_map", "q_map"],
+    ids=["compensation_sweep", "dispersion_map", "q_map", "q_map_per_fiber"],
 )
 def test_script_exits_0(script, args, expected):
     proc = subprocess.run(
