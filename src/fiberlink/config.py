@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 from .link import LinkConfig
 
-__all__ = ["ConfigError", "parse_config", "read_config_text", "KNOWN_KEYS"]
+__all__ = ["ConfigError", "parse_config", "read_config_text"]
 
 
 class ConfigError(ValueError):
@@ -92,8 +92,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str, int]] = {
     "sim.seed": (_parse_int, "sim.seed", 0),
     "sim.skip_bits": (_parse_int, "sim.skip_bits", 0),
 }
-
-KNOWN_KEYS = tuple(sorted(_SCHEMA))
 
 
 def _replace(obj: Any, updates: dict[str, Any]) -> Any:

@@ -186,10 +186,6 @@ class SsfmOptions:
             )
         return int(n)
 
-    def fixed_step_m(self, fiber: FiberParams) -> float:
-        """The fixed-mode step dz of ``fiber``, in meters."""
-        return fiber.length_km * 1e3 / self.fixed_steps(fiber)
-
     def span_group(self, fiber: FiberParams) -> FiberParams | tuple[FiberParams, float]:
         """The key that ``fiber`` shares with the spans it may resume or be resumed by.
 
@@ -200,7 +196,7 @@ class SsfmOptions:
         """
         if self.step_km is None:
             return fiber
-        return replace(fiber, length_km=0.0), self.fixed_step_m(fiber)
+        return replace(fiber, length_km=0.0), fiber.length_km * 1e3 / self.fixed_steps(fiber)
 
 
 def propagate_fiber(
@@ -275,8 +271,6 @@ def propagate_span(
     # omega[n - k] exactly -omega[k], so set_ops mirrors it into the upper bins.
     n = grid.n_samples
     lin_rate = 0.5j * beta2_si * grid.omega()[: n // 2 + 1] ** 2 - 0.5 * alpha_si
-    if options.step_km is not None:
-        n_steps = options.fixed_steps(fiber)
 
     # numpy's FFT allocates an n-sample scratch array on every transform, and
     # glibc serves blocks above its mmap threshold (128 KiB at start-up) from
@@ -328,7 +322,8 @@ def propagate_span(
     if options.step_km is not None:
         power, square = np.empty(n), np.empty(n)
         rotation, half, full = (np.empty_like(spec) for _ in range(3))
-        dz = options.fixed_step_m(fiber)
+        n_steps = options.fixed_steps(fiber)
+        dz = length_m / n_steps
         set_ops(dz)
         for k in range(start[1] if start else 0, n_steps):
             if not split_step(spec, spec, full if k else half, dz):

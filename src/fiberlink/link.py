@@ -32,7 +32,7 @@ from .fiber import (
     propagate_fiber,
     propagate_span,
 )
-from .metrics import MIN_RAIL_BITS, QResult, estimate_q
+from .metrics import QResult, _check_skip, _rail_mask, estimate_q
 from .receiver import RxConfig, receive
 from .signals import ElectricalWaveform, OpticalField, SamplingGrid, as_integer
 from .transmitter import DEFAULT_LFSR_SEED, BitSequence, TxConfig, prbs_generate, transmit
@@ -115,8 +115,9 @@ class LinkConfig:
     and its own ``length_km`` must be 0. Construction checks what the modules
     must agree on: the DCF lengths and SMF span count, the fixed-mode step
     count of each span, the sampling grid and the warm-up bits within it, the
-    receive filter against the grid's Nyquist frequency, the laser phase noise
-    per sample, and enough bits of each value for ``estimate_q``.
+    receive filter against the grid, the laser phase noise per sample, and
+    enough bits of each value for ``estimate_q``. A rule a stage also runs is
+    the stage's own check, called here.
     """
 
     n_smf_spans: int = 2
@@ -144,14 +145,8 @@ class LinkConfig:
             for fiber in self.elements()[::2]:  # every fiber; an amplifier follows each
                 self.sim.ssfm.fixed_steps(fiber)
         grid = self.grid()  # checks n_bits before skip_bits is checked against it
-        skip, n_bits = self.sim.skip_bits, self.sim.n_bits
-        if not 0 <= skip < n_bits:
-            raise ValueError(f"skip_bits must lie in [0, n_bits), got {skip} for {n_bits} bits")
-        if not self.rx.bessel_bandwidth < 0.5 * grid.sample_rate:
-            raise ValueError(
-                f"rx bessel_bandwidth {self.rx.bessel_bandwidth:.6g} Hz must be below "
-                f"the grid Nyquist frequency {0.5 * grid.sample_rate:.6g} Hz"
-            )
+        _check_skip(self.sim.skip_bits, self.sim.n_bits)
+        self.rx.check_grid(grid)
         variance = 2.0 * math.pi * self.tx.linewidth_hz * grid.dt
         if not variance <= 1.0:
             raise ValueError(
@@ -159,13 +154,7 @@ class LinkConfig:
                 f"2*pi*linewidth*dt of {variance:.6g} rad^2 per sample, above 1 rad^2"
             )
         pattern = prbs_generate(self.tx.prbs_order, DEFAULT_LFSR_SEED, self.sim.n_bits)
-        n_ones = int(np.count_nonzero(pattern.bits[self.sim.skip_bits :]))
-        n_zeros = self.sim.n_bits - self.sim.skip_bits - n_ones
-        if min(n_ones, n_zeros) < MIN_RAIL_BITS:
-            raise ValueError(
-                f"n_bits = {self.sim.n_bits} with skip_bits = {self.sim.skip_bits} leaves too "
-                f"few bits for estimate_q: {n_ones} ones, {n_zeros} zeros, {MIN_RAIL_BITS} needed"
-            )
+        _rail_mask(pattern.bits, self.sim.skip_bits)
 
     def grid(self) -> SamplingGrid:
         return SamplingGrid(

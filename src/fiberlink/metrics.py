@@ -126,6 +126,25 @@ class QResult:
             raise ValueError(f"jitter_ns must be >= 0, got {self.jitter_ns}")
 
 
+def _check_skip(skip_bits: int, n_bits: int) -> None:
+    """Require the warm-up bits to leave at least one of the frame's ``n_bits``."""
+    if not 0 <= skip_bits < n_bits:
+        raise ValueError(f"skip_bits must lie in [0, n_bits), got {skip_bits} for {n_bits} bits")
+
+
+def _rail_mask(bits: np.ndarray, skip_bits: int) -> tuple[np.ndarray, int, int]:
+    """The ones mask of the bits after warm-up and its counts, each ``MIN_RAIL_BITS`` or more."""
+    mask = bits[skip_bits:] == 1
+    n_ones = int(np.count_nonzero(mask))
+    n_zeros = mask.size - n_ones
+    if min(n_ones, n_zeros) < MIN_RAIL_BITS:
+        raise ValueError(
+            f"n_bits = {bits.size} with skip_bits = {skip_bits} leaves too few bits for "
+            f"estimate_q: {n_ones} ones, {n_zeros} zeros, {MIN_RAIL_BITS} bits of each needed"
+        )
+    return mask, n_ones, n_zeros
+
+
 def fold_eye(wave: ElectricalWaveform, skip_bits: int) -> EyeDiagram:
     """Fold a waveform into per-bit traces and locate threshold crossings.
 
@@ -134,8 +153,7 @@ def fold_eye(wave: ElectricalWaveform, skip_bits: int) -> EyeDiagram:
     the mean). A flat waveform has no crossings and is flagged degenerate.
     """
     grid = wave.grid
-    if not (0 <= skip_bits < grid.n_bits):
-        raise ValueError(f"skip_bits must lie in [0, {grid.n_bits}), got {skip_bits}")
+    _check_skip(skip_bits, grid.n_bits)
     spb = grid.samples_per_bit
     kept = wave.samples[skip_bits * spb :]
     traces = kept.reshape(grid.n_bits - skip_bits, spb)
@@ -190,14 +208,7 @@ def estimate_q(wave: ElectricalWaveform, bits: BitSequence, skip_bits: int) -> Q
 
     delay = _recover_delay(wave.samples, b, grid.samples_per_bit)
     eye = fold_eye(ElectricalWaveform(np.roll(wave.samples, -delay), grid), skip_bits)
-    mask = b[skip_bits:] == 1
-    n_ones = int(np.count_nonzero(mask))
-    n_zeros = int(mask.size - n_ones)
-    if n_ones < MIN_RAIL_BITS or n_zeros < MIN_RAIL_BITS:
-        raise ValueError(
-            f"need at least {MIN_RAIL_BITS} bits of each value after warm-up, got {n_ones} ones "
-            f"and {n_zeros} zeros"
-        )
+    mask, n_ones, n_zeros = _rail_mask(b, skip_bits)
     # One contiguous row per phase, so each row reduces exactly as a 1-D rail does.
     stats = _rail_stats(
         np.ascontiguousarray(eye.traces[mask].T), np.ascontiguousarray(eye.traces[~mask].T)

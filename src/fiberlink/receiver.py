@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ElectricalWaveform, OpticalField, as_integer
+from .signals import ElectricalWaveform, OpticalField, SamplingGrid, as_integer
 
 __all__ = ["RxConfig", "photodetect", "bessel_lowpass", "receive"]
 
@@ -42,6 +42,15 @@ class RxConfig:
             )
         if not (self.bessel_bandwidth > 0 and np.isfinite(self.bessel_bandwidth)):
             raise ValueError(f"bessel_bandwidth must be positive, got {self.bessel_bandwidth}")
+
+    def check_grid(self, grid: SamplingGrid) -> None:
+        """Require the filter bandwidth from the grid's frequency step to below its Nyquist."""
+        nyquist, step = 0.5 * grid.sample_rate, grid.sample_rate / grid.n_samples
+        if not step <= self.bessel_bandwidth < nyquist:
+            raise ValueError(
+                f"rx bessel_bandwidth {self.bessel_bandwidth:.6g} Hz must be below the grid "
+                f"Nyquist frequency {nyquist:.6g} Hz and at least its frequency step {step:.6g} Hz"
+            )
 
 
 def photodetect(
@@ -95,16 +104,12 @@ def bessel_lowpass(wave: ElectricalWaveform, rx: RxConfig) -> ElectricalWaveform
 
     The analog prototype of order ``rx.bessel_order`` is magnitude-normalized
     so |H| is exactly 1 at DC and 1/sqrt(2) at ``rx.bessel_bandwidth``, which
-    must lie below the grid Nyquist frequency.
+    must pass :meth:`RxConfig.check_grid`.
     """
-    grid, bandwidth = wave.grid, rx.bessel_bandwidth
-    nyquist = 0.5 * grid.sample_rate
-    if not bandwidth < nyquist:
-        raise ValueError(
-            f"bandwidth must lie in (0, {nyquist:.6g}) Hz for this grid, got {bandwidth}"
-        )
+    grid = wave.grid
+    rx.check_grid(grid)
     f = np.fft.rfftfreq(grid.n_samples, grid.dt)
-    h = _bessel_response(rx.bessel_order, f / bandwidth)
+    h = _bessel_response(rx.bessel_order, f / rx.bessel_bandwidth)
     filtered = np.fft.irfft(np.fft.rfft(wave.samples) * h, grid.n_samples)
     return ElectricalWaveform(filtered, grid)
 

@@ -164,6 +164,18 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "result.csv").exists()
 
+    @pytest.mark.parametrize("value", ["1e-300", "0.00976"], ids=["tiny", "below_step"])
+    def test_filter_below_frequency_step_exits_2(self, tmp_path, capsys, value):
+        # the default grid's frequency step is 10 GHz / 1024 bits = 9.77 MHz
+        cfg = tmp_path / "rx.cfg"
+        cfg.write_text(f"rx.bessel_bw_ghz = {value}\n", encoding="utf-8")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 1: key 'rx.bessel_bw_ghz': rx bessel_bandwidth" in err
+        assert "at least its frequency step 9.76562e+06 Hz" in err
+        assert not (tmp_path / "result.csv").exists()
+
     def test_dark_amplifier_input_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "dark.cfg"
         cfg.write_text(

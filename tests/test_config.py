@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import fiberlink as fl
-from fiberlink.config import _SCHEMA, KNOWN_KEYS
+from fiberlink.config import _SCHEMA
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+KNOWN_KEYS = tuple(sorted(_SCHEMA))
 
 
 def readme_config_rows() -> list[tuple[list[str], str | None]]:

@@ -7,11 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fiberlink as fl
 from fiberlink import cli, link, metrics
 from fiberlink.fiber import AmplifierParams, FiberParams, PropagationError
+from fiberlink.transmitter import DEFAULT_LFSR_SEED
 
 from conftest import small_link_config
 
@@ -180,6 +181,8 @@ class TestLinkConfig:
         pre=st.sampled_from([0.0, 2.4]),
         post=st.sampled_from([0.0, 2.4]),
     )
+    # a positive filter bandwidth below the grid's frequency step filters to non-finite samples
+    @example(n_bits=64, samples_per_bit=8, skip_bits=8, bandwidth_ghz=1e-300, pre=0.0, post=0.0)
     def test_every_config_that_constructs_runs(
         self, n_bits, samples_per_bit, skip_bits, bandwidth_ghz, pre, post
     ):
@@ -201,6 +204,48 @@ class TestLinkConfig:
         except ValueError:
             return
         fl.run_link_full(cfg)
+
+
+def _grid_of(cfg: fl.LinkConfig, sim: fl.SimSettings) -> fl.SamplingGrid:
+    return fl.SamplingGrid(cfg.tx.bit_rate, sim.n_bits, sim.samples_per_bit, cfg.tx.wavelength)
+
+
+class TestOneMessagePerRule:
+    """A rule that LinkConfig shares with a stage fails with one message in both places."""
+
+    @pytest.mark.parametrize("bandwidth", [60e9, 1e-291], ids=["nyquist", "frequency_step"])
+    def test_receive_filter(self, bandwidth):
+        cfg = fl.LinkConfig()
+        sim = dataclasses.replace(cfg.sim, samples_per_bit=8)
+        rx = dataclasses.replace(cfg.rx, bessel_bandwidth=bandwidth)
+        with pytest.raises(ValueError) as by_config:
+            dataclasses.replace(cfg, rx=rx, sim=sim)
+        grid = _grid_of(cfg, sim)
+        with pytest.raises(ValueError) as by_stage:
+            fl.bessel_lowpass(fl.ElectricalWaveform(np.zeros(grid.n_samples), grid), rx)
+        assert str(by_config.value) == str(by_stage.value)
+
+    def test_skip_bits(self):
+        cfg = fl.LinkConfig()
+        sim = dataclasses.replace(cfg.sim, n_bits=16, skip_bits=16)
+        with pytest.raises(ValueError) as by_config:
+            dataclasses.replace(cfg, sim=sim)
+        grid = _grid_of(cfg, sim)
+        with pytest.raises(ValueError) as by_stage:
+            fl.fold_eye(fl.ElectricalWaveform(np.zeros(grid.n_samples), grid), sim.skip_bits)
+        assert str(by_config.value) == str(by_stage.value)
+
+    def test_rail_bits(self):
+        cfg = fl.LinkConfig()
+        sim = dataclasses.replace(cfg.sim, n_bits=16)
+        with pytest.raises(ValueError) as by_config:
+            dataclasses.replace(cfg, sim=sim)
+        grid = _grid_of(cfg, sim)
+        bits = fl.prbs_generate(cfg.tx.prbs_order, DEFAULT_LFSR_SEED, sim.n_bits)
+        wave = fl.ElectricalWaveform(np.repeat(bits.bits, grid.samples_per_bit), grid)
+        with pytest.raises(ValueError) as by_stage:
+            fl.estimate_q(wave, bits, sim.skip_bits)
+        assert str(by_config.value) == str(by_stage.value)
 
 
 class TestRunLink:

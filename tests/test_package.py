@@ -172,7 +172,6 @@ def test_every_import_is_used_or_exported():
 # Public names with no caller in src/ or scripts/, each with the reason it stays public.
 TEST_FACING = {
     "__version__": "the package version, for whoever imports the library",
-    "KNOWN_KEYS": "the README-table test checks the documented keys against it",
     "q_from_rails": "the tests' rail oracle for estimate_q",
 }
 

@@ -126,6 +126,17 @@ class TestBesselLowpass:
         with pytest.raises(ValueError, match="bandwidth"):
             fl.bessel_lowpass(wave, fl.RxConfig(bessel_bandwidth=2 * nyq))
 
+    @pytest.mark.parametrize(
+        "bandwidth", [1e-300, 0.99 * GRID.bit_rate / GRID.n_bits], ids=["tiny", "below_step"]
+    )
+    def test_rejects_bandwidth_below_frequency_step(self, bandwidth):
+        # the grid's frequency step is 10 GHz / 64 bits = 156.25 MHz
+        wave = fl.ElectricalWaveform(np.ones(GRID.n_samples), GRID)
+        with pytest.raises(ValueError, match="at least its frequency step 1.5625e[+]08 Hz"):
+            fl.bessel_lowpass(wave, fl.RxConfig(bessel_bandwidth=bandwidth))
+        out = fl.bessel_lowpass(wave, fl.RxConfig(bessel_bandwidth=GRID.bit_rate / GRID.n_bits))
+        np.testing.assert_allclose(out.samples, 1.0, rtol=1e-9)
+
     def test_rejects_bad_order(self):
         wave = fl.ElectricalWaveform(np.zeros(GRID.n_samples), GRID)
         with pytest.raises(ValueError, match="order"):
