@@ -72,7 +72,7 @@ def run_q(
 
     np.fft.fft, fl.link.propagate_fiber = counting, recording
     try:
-        q_db = fl.run_link_full(fl.parse_config("\n".join(settings))).q.q_db
+        q_db = fl.run_link_full(fl.parse_config("\n".join(settings))).q_db
     finally:
         np.fft.fft, fl.link.propagate_fiber = forward, propagate
     return q_db, collections.Counter(sizes), bands

@@ -55,19 +55,16 @@ def _parse_lengths(text: str, flag: str) -> tuple[float, ...]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed)
-    result = run_link_full(config)
+    q = run_link_full(config)
+    row = _sweep_row(config, q)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    q = result.q
-    row = _sweep_row(config.pre_length_km, config.post_length_km, result.seed, result)
     with open(out_dir / "eye.txt", "w", encoding="utf-8") as eye_file:
-        format_eye(result.q.eye, eye_file)
+        format_eye(q.eye, eye_file)
     # Last, so that a result.csv is only ever left by a run that wrote all its output.
     (out_dir / "result.csv").write_text(f"{CSV_HEADER}\n{_row_csv(row)}\n", encoding="utf-8")
-    print(f"q_db = {_fmt(q.q_db)}")
-    print(f"ber = {_fmt(q.ber)}")
-    print(f"jitter_ns = {_fmt(q.jitter_ns)}")
-    print(f"residual_ps_nm = {_fmt(result.residual_ps_nm)}")
+    for name in ("q_db", "ber", "jitter_ns", "residual_ps_nm"):
+        print(f"{name} = {_fmt(getattr(row, name))}")
     return 0
 
 

@@ -103,8 +103,8 @@ class FiberParams:
     label: str = "SMF"
 
     def __post_init__(self) -> None:
-        if self.length_km < 0 or not np.isfinite(self.length_km):
-            raise ValueError(f"length_km must be >= 0, got {self.length_km}")
+        if not 0 <= self.length_km * 1e3 < math.inf:
+            raise ValueError(f"length_km must be >= 0 and finite in m, got {self.length_km}")
         if not abs(self.dispersion_ps_nm_km) <= 200.0:
             raise ValueError(
                 f"|dispersion| must be <= 200 ps/nm/km, got {self.dispersion_ps_nm_km}"

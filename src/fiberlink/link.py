@@ -34,14 +34,13 @@ from .fiber import (
 )
 from .metrics import QResult, _check_skip, _rail_mask, estimate_q
 from .receiver import RxConfig, receive
-from .signals import ElectricalWaveform, OpticalField, SamplingGrid, as_integer
+from .signals import OpticalField, SamplingGrid, as_integer
 from .transmitter import DEFAULT_LFSR_SEED, BitSequence, TxConfig, prbs_generate, transmit
 
 __all__ = [
     "SimSettings",
     "LinkConfig",
     "SweepRow",
-    "LinkRunResult",
     "residual_dispersion",
     "dispersion_profile",
     "run_link_full",
@@ -137,8 +136,10 @@ class LinkConfig:
                 "pre_length_km and post_length_km"
             )
         pre, post = self.pre_length_km, self.post_length_km
-        if not (0 <= pre < math.inf and 0 <= post < math.inf):
-            raise ValueError(f"DCF lengths must satisfy 0 <= l < inf, got pre={pre}, post={post}")
+        if not (0 <= pre * 1e3 < math.inf and 0 <= post * 1e3 < math.inf):
+            raise ValueError(
+                f"DCF lengths must satisfy 0 <= l < inf in m, got pre={pre}, post={post}"
+            )
         if as_integer("n_smf_spans", self.n_smf_spans) < 1:
             raise ValueError(f"n_smf_spans must be >= 1, got {self.n_smf_spans}")
         if self.sim.ssfm.step_km is not None:
@@ -179,18 +180,6 @@ class LinkConfig:
         return tuple(el for fiber in fibers for el in (fiber, amp))
 
 
-@dataclass(frozen=True, slots=True)
-class LinkRunResult:
-    """Everything a single run produces."""
-
-    q: QResult
-    bits: BitSequence
-    received: ElectricalWaveform
-    elements: tuple[FiberParams | AmplifierParams, ...]
-    residual_ps_nm: float
-    seed: int
-
-
 def _np_random() -> types.ModuleType:
     """``numpy.random``, first loaded without OpenSSL: numpy takes only ``randbits`` from
     ``secrets``, so a stand-in serves it and ``hmac``, ``hashlib`` and ``_hashlib`` stay out."""
@@ -209,12 +198,9 @@ def _streams(seed: int) -> list[np.random.SeedSequence]:
     return _np_random().SeedSequence(seed).spawn(3)
 
 
-def _finish(config: LinkConfig, bits: BitSequence, field_: OpticalField) -> LinkRunResult:
+def _finish(config: LinkConfig, bits: BitSequence, field_: OpticalField) -> QResult:
     received = receive(field_, config.rx, np.random.default_rng(_streams(config.sim.seed)[2]))
-    q, elements = estimate_q(received, bits, config.sim.skip_bits), config.elements()
-    return LinkRunResult(
-        q, bits, received, elements, residual_dispersion(elements), config.sim.seed
-    )
+    return estimate_q(received, bits, config.sim.skip_bits)
 
 
 def _leaves(node: tuple[dict, list[int]]) -> list[int]:
@@ -222,8 +208,8 @@ def _leaves(node: tuple[dict, list[int]]) -> list[int]:
     return node[1] + [index for child in node[0].values() for index in _leaves(child)]
 
 
-def _walk(configs: dict[int, LinkConfig]) -> Iterator[tuple[int, LinkRunResult | Exception]]:
-    """Yield ``(index, result or exception)`` once for each row, walking its element chain.
+def _walk(configs: dict[int, LinkConfig]) -> Iterator[tuple[int, QResult | Exception]]:
+    """Yield ``(index, QResult or exception)`` once for each row, walking its element chain.
 
     The chains form a tree: one root per seed, whose edge is the transmitter,
     and one child per distinct next element; a row ends at the node of its last
@@ -282,8 +268,8 @@ def _walk(configs: dict[int, LinkConfig]) -> Iterator[tuple[int, LinkRunResult |
         stack.extend((k + 1, g, bits, out, rng, None) for g in reversed(groups.values()))
 
 
-def run_link_full(config: LinkConfig) -> LinkRunResult:
-    """Run transmitter -> link -> receiver -> metrics for one configuration.
+def run_link_full(config: LinkConfig) -> QResult:
+    """Run transmitter -> link -> receiver -> metrics for one configuration; return its Q.
 
     Independent RNG streams for the transmitter, amplifier chain, and receiver
     are derived from ``config.sim.seed``, so a run is a pure function of
@@ -309,10 +295,17 @@ class SweepRow:
     error: str | None = None
 
 
-def _sweep_row(pre: float, post: float, seed: int, r: LinkRunResult | Exception) -> SweepRow:
-    if isinstance(r, Exception):
-        return SweepRow(pre, post, None, None, None, None, seed, f"{type(r).__name__}: {r}")
-    return SweepRow(pre, post, r.residual_ps_nm, r.q.q_db, r.q.ber, r.q.jitter_ns, seed)
+def _failed_row(pre: float, post: float, seed: int, exc: Exception) -> SweepRow:
+    return SweepRow(pre, post, None, None, None, None, seed, f"{type(exc).__name__}: {exc}")
+
+
+def _sweep_row(config: LinkConfig, outcome: QResult | Exception) -> SweepRow:
+    """The row of ``config``'s run, given its QResult or the exception it raised."""
+    pre, post, seed = config.pre_length_km, config.post_length_km, config.sim.seed
+    if isinstance(outcome, Exception):
+        return _failed_row(pre, post, seed, outcome)
+    residual = residual_dispersion(config.elements())
+    return SweepRow(pre, post, residual, outcome.q_db, outcome.ber, outcome.jitter_ns, seed)
 
 
 def sweep(
@@ -329,22 +322,22 @@ def sweep(
     the same fiber apart from its length. Each row still equals
     ``run_link_full`` of its config, and the rows come back in input order.
     """
-    rows: list[SweepRow | tuple[float, float, int]] = []
+    rows: list[SweepRow | None] = []
     configs: dict[int, LinkConfig] = {}
     for index, (pre, post) in enumerate(pairs):
         seed = config.sim.seed
         if per_row_seeds:
             seed = int(_np_random().SeedSequence([config.sim.seed, index]).generate_state(1)[0])
-        rows.append((pre, post, seed))
+        rows.append(None)
         try:
             sim = dataclasses.replace(config.sim, seed=seed)
             configs[index] = dataclasses.replace(
                 config, pre_length_km=pre, post_length_km=post, sim=sim
             )
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
-            rows[index] = _sweep_row(pre, post, seed, exc)
+            rows[index] = _failed_row(pre, post, seed, exc)
     for index, outcome in _walk(configs):
-        rows[index] = _sweep_row(*rows[index], outcome)
-        # A result holds its waveform and eye, an exception its frames' fields.
+        rows[index] = _sweep_row(configs[index], outcome)
+        # A QResult holds its eye, an exception its frames' fields.
         del outcome
     return rows

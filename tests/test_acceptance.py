@@ -127,7 +127,7 @@ def test_default_stepping_matches_fixed_oracle():
     rows = fl.sweep(fl.LinkConfig(), zip(DESK_PRE_KM, DESK_POST_KM))
     errors = [abs(row.q_db - q_ref) for row, q_ref in zip(rows, FIXED_ORACLE_Q_DB, strict=True)]
     assert max(errors) < Q_TOL_DB, f"|q_db - q_db(0.1 km fixed)| = {errors} dB"
-    assert fl.run_link_full(fl.LinkConfig()).q.q_db == rows[0].q_db
+    assert fl.run_link_full(fl.LinkConfig()).q_db == rows[0].q_db
     announce(f"default stepping within {max(errors):.1e} dB of 0.1 km fixed steps")
 
 
@@ -136,7 +136,7 @@ def test_default_stepping_matches_fixed_oracle_at_high_power(power_dbm):
     # The band's weakest point: its trials leave the Kerr term out above 6x
     # the bit rate, which costs the most at high power. At 12 dBm the worst
     # |q_db - q_db(0.1 km fixed)| over seeds 0-3 is 6.1e-3 dB.
-    q_db = fl.run_link_full(fl.parse_config(f"tx.power_dbm = {power_dbm}")).q.q_db
+    q_db = fl.run_link_full(fl.parse_config(f"tx.power_dbm = {power_dbm}")).q_db
     error = abs(q_db - FIXED_ORACLE_Q_DB_BY_POWER[power_dbm])
     assert error < Q_TOL_DB, f"|q_db - q_db(0.1 km fixed)| = {error} dB at {power_dbm} dBm"
     announce(f"default stepping within {error:.1e} dB of 0.1 km fixed steps at {power_dbm} dBm")

@@ -136,9 +136,16 @@ class TestRun:
             ("amp.ase = true\namp.noise_figure_db = 4000", "noise_figure_db"),
             ("dcf.pre_length_km = nan", "0 <= l < inf"),
             ("dcf.post_length_km = inf", "0 <= l < inf"),
+            # 1e306 km is finite, but 1e309 m is not
+            ("dcf.pre_length_km = 1e306",
+             "line 1: key 'dcf.pre_length_km': DCF lengths must satisfy 0 <= l < inf in m"),
+            ("dcf.post_length_km = 1e306",
+             "line 1: key 'dcf.post_length_km': DCF lengths must satisfy 0 <= l < inf in m"),
+            ("smf.length_km = 1e306",
+             "line 1: key 'smf.length_km': length_km must be >= 0 and finite in m, got 1e+306"),
         ],
         ids=["dispersion", "noise_figure", "power_overflow", "gain_overflow", "nf_overflow",
-             "dcf_nan", "dcf_inf"],
+             "dcf_nan", "dcf_inf", "dcf_pre_metres", "dcf_post_metres", "smf_metres"],
     )
     def test_non_finite_fiber_or_amp_value_exits_2(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "nan.cfg"

@@ -251,25 +251,21 @@ class TestOneMessagePerRule:
 class TestRunLink:
     def test_deterministic(self):
         cfg = small_link_config()
-        a = fl.run_link_full(cfg).q
-        b = fl.run_link_full(cfg).q
+        a = fl.run_link_full(cfg)
+        b = fl.run_link_full(cfg)
         assert a == b
 
     def test_seed_changes_outcome(self):
         cfg = small_link_config()
         other = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=7))
-        assert fl.run_link_full(cfg).q != fl.run_link_full(other).q
+        assert fl.run_link_full(cfg) != fl.run_link_full(other)
 
     def test_full_result_contents(self):
         cfg = small_link_config()
-        result = fl.run_link_full(cfg)
-        assert result.seed == 42
-        assert result.residual_ps_nm == pytest.approx(
-            fl.residual_dispersion(result.elements)
-        )
-        assert result.received.grid.n_bits == 64
-        assert result.q.eye.traces.shape == (56, 16)
-        assert result.q.ber <= 0.5
+        q = fl.run_link_full(cfg)
+        assert isinstance(q, fl.QResult)
+        assert q.eye.traces.shape == (56, 16)
+        assert q.ber <= 0.5
 
     def test_eye_folded_once_per_run(self, monkeypatch):
         fold = metrics.fold_eye
@@ -282,14 +278,20 @@ class TestRunLink:
         # count calls made through either module's name for fold_eye
         monkeypatch.setattr(metrics, "fold_eye", counting_fold)
         monkeypatch.setattr(link, "fold_eye", counting_fold, raising=False)
-        result = fl.run_link_full(small_link_config())
+        receive, received = link.receive, []
+
+        def recording_receive(*args):
+            received.append(receive(*args))
+            return received[-1]
+
+        monkeypatch.setattr(link, "receive", recording_receive)
+        q = fl.run_link_full(small_link_config())
         assert len(calls) == 1
-        aligned = fl.ElectricalWaveform(
-            np.roll(result.received.samples, -result.q.delay_samples), result.received.grid
-        )
+        [wave] = received
+        aligned = fl.ElectricalWaveform(np.roll(wave.samples, -q.delay_samples), wave.grid)
         expected = fold(aligned, 8)
-        np.testing.assert_array_equal(result.q.eye.traces, expected.traces)
-        np.testing.assert_array_equal(result.q.eye.crossing_times, expected.crossing_times)
+        np.testing.assert_array_equal(q.eye.traces, expected.traces)
+        np.testing.assert_array_equal(q.eye.crossing_times, expected.crossing_times)
 
     def test_holds_one_field_at_a_time(self):
         # 10.55 field sizes. Keeping the transmitted field for the rest of the
@@ -301,8 +303,8 @@ class TestRunLink:
         base = small_link_config()
         # same line, DCF lengths far off the zero-residual point
         worse = dataclasses.replace(base, pre_length_km=7.0, post_length_km=7.0)
-        q_good = fl.run_link_full(base).q
-        q_bad = fl.run_link_full(worse).q
+        q_good = fl.run_link_full(base)
+        q_bad = fl.run_link_full(worse)
         assert q_good.q_db > q_bad.q_db
 
     def test_noise_free_run_is_clean(self):
@@ -311,9 +313,9 @@ class TestRunLink:
             "rx.thermal_psd": 0,
             "rx.shot_noise": "false",
         })
-        q = fl.run_link_full(cfg).q
+        q = fl.run_link_full(cfg)
         assert q.q_db > 20.0
-        assert fl.run_link_full(cfg).q == q
+        assert fl.run_link_full(cfg) == q
 
 
 # (pre, post) DCF length pairs of small sweeps whose rows share work
@@ -359,12 +361,13 @@ def single_run(config, pre, post):
 
 
 def assert_row_is_single_run(config, row):
-    full = single_run(config, row.pre_km, row.post_km)
+    cfg = dataclasses.replace(config, pre_length_km=row.pre_km, post_length_km=row.post_km)
+    q = fl.run_link_full(cfg)
     assert row.error is None
-    assert row.residual_ps_nm == full.residual_ps_nm
-    assert row.q_db == full.q.q_db
-    assert row.ber == full.q.ber
-    assert row.jitter_ns == full.q.jitter_ns
+    assert row.residual_ps_nm == fl.residual_dispersion(cfg.elements())
+    assert row.q_db == q.q_db
+    assert row.ber == q.ber
+    assert row.jitter_ns == q.jitter_ns
 
 
 class TestSweep:
@@ -469,11 +472,11 @@ class TestSweep:
 
     def test_holds_fields_only_at_branch_points(self):
         # The 4 x 4 cross holds a field where the tree branches and a kept span
-        # per sibling group: 13.8 field sizes. Holding a finished row's result
-        # (its waveform and eye) while the next row runs reads 14.7.
+        # per sibling group: 12.72 field sizes. Holding a finished row's QResult
+        # (its eye) while the next row runs reads 13.24.
         config = fl.parse_config("sim.n_bits = 256\nsim.step_km = 2\namp.ase = true\n")
         pairs = list(itertools.product((24.0, 27.0, 30.0, 35.0), repeat=2))
-        assert peak_fields(lambda: fl.sweep(config, pairs), config) < 14.3
+        assert peak_fields(lambda: fl.sweep(config, pairs), config) < 13.0
 
     def test_build_failure_in_shared_group(self):
         # 200,000 steps of 1 km in the post DCF: rejected when the row's LinkConfig is built
